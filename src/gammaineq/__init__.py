@@ -14,7 +14,6 @@ from .model import (
     GammaParams,
     IndexKind,
     PopulationValues,
-    RngStream,
     Sample,
     atkinson_population,
     bias_atkinson,
@@ -63,7 +62,6 @@ __all__ = [
     "GammaParams",
     "IndexKind",
     "PopulationValues",
-    "RngStream",
     "Sample",
     "atkinson_population",
     "bias_atkinson",

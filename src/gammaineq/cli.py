@@ -83,14 +83,6 @@ def _parse_rate(text):
         raise argparse.ArgumentTypeError(f"expected a number or 'alpha', got {text!r}")
 
 
-def _parse_seed(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return value
-
-
 def _check_flag_positive(value, flag):
     if value <= 0:
         raise DomainError(f"{flag} must be strictly positive, got {value:g}")
@@ -187,7 +179,7 @@ def cmd_estimate(args):
 
 def _csv_field(value):
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -292,7 +284,7 @@ def build_parser():
         help="sampling rate parameter, or 'alpha' for rate equal to each cell's shape",
     )
     p_sim.add_argument(
-        "--seed", type=_parse_seed, default=DEFAULT_MASTER_SEED, help="64-bit master seed"
+        "--seed", type=int, default=DEFAULT_MASTER_SEED, help="64-bit master seed"
     )
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.add_argument(

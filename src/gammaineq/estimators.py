@@ -1,9 +1,11 @@
 """Sample estimators of the Theil T, Theil L, and Atkinson indices, plus
 their bias-corrected versions.
 
-All estimators sort an internal copy of the observations ascending and
-accumulate in that fixed order, so results are bit-identical under any
-permutation of the input and across thread counts.
+All three estimators are one row kernel over a 2-D array of samples: the
+Monte Carlo engine runs it on a whole block of replications, the scalar
+functions on a single row. It sorts each row ascending and accumulates in
+that fixed order, so results are bit-identical under any permutation of
+the input and across thread counts.
 """
 
 import math
@@ -41,10 +43,30 @@ class EstimateReport:
     notes: tuple = field(default_factory=tuple)
 
 
-def _sorted_observations(sample):
+def _row_estimates(x):
+    """Theil T, Theil L and Atkinson estimates of every row of the 2-D
+    array x, one sample per row, as three arrays.
+
+    Each row is sorted and accumulated in that fixed order, so a row's
+    values do not depend on the order of its observations.
+    """
+    x = np.sort(x, axis=1)
+    n = x.shape[1]
+    logs = np.log(x)
+    total = x.sum(axis=1)
+    tt = (x * logs).sum(axis=1) / total - np.log(total) + math.log(n)
+    tl = np.log(total / n) - logs.sum(axis=1) / n
+    # exact zeros for equal rows; elsewhere clamp rounding below zero
+    spread = x[:, 0] != x[:, -1]
+    tt = np.where(spread, np.maximum(tt, 0.0), 0.0)
+    tl = np.where(spread, np.maximum(tl, 0.0), 0.0)
+    return tt, tl, -np.expm1(-tl)
+
+
+def _estimates(sample):
     if not isinstance(sample, Sample):
         raise DomainError(f"expected a Sample, got {type(sample).__name__}")
-    return np.sort(sample.observations)
+    return [float(values[0]) for values in _row_estimates(sample.observations[np.newaxis])]
 
 
 def theil_t_hat(sample):
@@ -52,13 +74,7 @@ def theil_t_hat(sample):
 
     Nonnegative; exactly zero iff all observations are equal.
     """
-    x = _sorted_observations(sample)
-    if x[0] == x[-1]:
-        return 0.0
-    logs = np.log(x)
-    total = float(np.sum(x))
-    value = float(np.sum(x * logs)) / total - math.log(total) + math.log(x.size)
-    return max(0.0, value)
+    return _estimates(sample)[0]
 
 
 def theil_l_hat(sample):
@@ -66,18 +82,13 @@ def theil_l_hat(sample):
 
     Nonnegative; exactly zero iff all observations are equal.
     """
-    x = _sorted_observations(sample)
-    if x[0] == x[-1]:
-        return 0.0
-    mean = float(np.sum(x)) / x.size
-    mean_log = float(np.sum(np.log(x))) / x.size
-    return max(0.0, math.log(mean) - mean_log)
+    return _estimates(sample)[1]
 
 
 def atkinson_hat(sample):
     """Atkinson estimate: 1 - geometric_mean/arithmetic_mean, evaluated as
     1 - exp(-theil_l_hat) so it stays in [0, 1)."""
-    return -math.expm1(-theil_l_hat(sample))
+    return _estimates(sample)[2]
 
 
 def corrected_theil_t(sample, alpha_hat):

@@ -3,19 +3,27 @@
 The score equation reduces to ln(alpha) - psi(alpha) = s where s is the
 log-moment gap ln(mean) - mean(log). The left side is strictly decreasing
 from +inf to 0, so the root is unique for any s > 0.
+
+One Newton solver works on an array of gaps at once: the Monte Carlo
+engine passes a whole block of replications, fit_shape a single value.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators import theil_l_hat
 from .exceptions import DegenerateSampleError, NoConvergenceError
-from .special import digamma, trigamma
+from .special import _ln_minus_digamma, _trigamma
 
 _RESIDUAL_TOL = 1e-10
-_STEP_TOL = 1e-12
+# Once the residual is within tolerance, Newton keeps stepping until a step
+# moves alpha by at most a few ulps, or for at most _MAX_POLISH steps:
+# rounding in the score can hold the steps just above _STEP_TOL.
+_STEP_TOL = 4.0 * sys.float_info.epsilon
+_MAX_POLISH = 4
 _DEGENERATE_S = 1e-12
 _MAX_ITERATIONS = 100
 _MAX_NEWTON = 24
@@ -38,11 +46,11 @@ def log_moment_gap(sample):
 
 def _initial_shape(s):
     # Minka/Thom starting point, within a few percent of the root
-    return (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+    return (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
 
 
 def _score(alpha, s):
-    return math.log(alpha) - digamma(alpha) - s
+    return _ln_minus_digamma(alpha) - s
 
 
 def _bisect(s, start, iterations):
@@ -60,7 +68,7 @@ def _bisect(s, start, iterations):
         iterations += 1
         u_mid = 0.5 * (u_lo + u_hi)
         mid = math.exp(u_mid)
-        f = _score(mid, s)
+        f = float(_score(mid, s))
         if abs(f) <= _RESIDUAL_TOL:
             return mid, abs(f), iterations
         if f > 0.0:
@@ -70,13 +78,93 @@ def _bisect(s, start, iterations):
     raise NoConvergenceError(f"no root with residual <= {_RESIDUAL_TOL} after {iterations} iterations")
 
 
+def _newton(s):
+    """Newton iteration on u = ln(alpha) from the Minka starting point, for
+    every gap in the 1-D array s at once. Returns alpha, residual and
+    iteration arrays and a mask of the converged entries; an entry that
+    stalls, leaves the domain or runs out of iterations is not converged
+    and holds its last iterate."""
+    alpha = _initial_shape(s)
+    u = np.log(alpha)
+    residual = np.full(s.shape, np.inf)
+    iterations = np.zeros(s.shape, dtype=np.int64)
+    converged = np.zeros(s.shape, dtype=bool)
+    prev_abs_f = np.full(s.shape, np.inf)
+    prev_step = np.full(s.shape, np.inf)
+    stalls = np.zeros(s.shape, dtype=np.int64)
+    polish = np.zeros(s.shape, dtype=np.int64)
+    active = np.arange(s.size)
+    # a step that overflows or divides by zero is caught by the finiteness test
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for iteration in range(_MAX_NEWTON + 1):
+            if not active.size:
+                break
+            a = alpha[active]
+            f = _score(a, s[active])
+            abs_f = np.abs(f)
+            residual[active] = abs_f
+            step = -f / (a * (1.0 / a - _trigamma(a)))
+            u_next = u[active] + step
+            can_step = np.isfinite(step) & (-700.0 < u_next) & (u_next < 700.0)
+            can_step &= iteration < _MAX_NEWTON
+            within = abs_f <= _RESIDUAL_TOL
+            done = within & (
+                (np.abs(prev_step[active]) <= _STEP_TOL)
+                | (polish[active] >= _MAX_POLISH)
+                | ~can_step
+            )
+            converged[active[done]] = True
+            stalls[active] = np.where(~within & (abs_f >= prev_abs_f[active]), stalls[active] + 1, 0)
+            prev_abs_f[active] = abs_f
+            moving = ~done & can_step & (stalls[active] < _MAX_STALLS)
+            going = active[moving]
+            iterations[going] += 1
+            u[going] = u_next[moving]
+            alpha[going] = np.exp(u_next[moving])
+            prev_step[going] = step[moving]
+            polish[going] += within[moving]
+            active = going
+    return alpha, residual, iterations, converged
+
+
+def _solve(s):
+    """Shape roots for the 1-D array of gaps s (each >= _DEGENERATE_S):
+    Newton for all, then bisection on an expanding bracket for the entries
+    Newton left unconverged. Returns alpha, residual and iteration arrays
+    and a dict of the NoConvergenceError raised for each entry that
+    bisection failed too."""
+    alpha, residual, iterations, converged = _newton(s)
+    failures = {}
+    for i in np.flatnonzero(~converged):
+        s_i = float(s[i])
+        try:
+            alpha[i], residual[i], iterations[i] = _bisect(
+                s_i, float(_initial_shape(s_i)), int(iterations[i])
+            )
+        except NoConvergenceError as exc:
+            failures[int(i)] = exc
+    return alpha, residual, iterations, failures
+
+
+def _fitted_shapes(s):
+    """Fitted shape for every gap in the 1-D array s, NaN where the sample
+    is degenerate (s < _DEGENERATE_S) or no root was found."""
+    out = np.full(s.shape, np.nan)
+    fit = np.flatnonzero(s >= _DEGENERATE_S)
+    alpha, _, _, failures = _solve(s[fit])
+    alpha[list(failures)] = np.nan
+    out[fit] = alpha
+    return out
+
+
 def fit_shape(sample):
     """Fit the gamma shape by maximum likelihood.
 
-    Newton iteration on ln(alpha) from the Minka starting point; falls back
-    to bisection on an expanding bracket if Newton stalls or leaves the
-    domain. Raises DegenerateSampleError when the sample has no dispersion
-    (n < 2 or all observations equal).
+    Newton iteration on ln(alpha) from the Minka starting point, continued
+    past residual <= 1e-10 until the step is within 4 ulps (at most 4
+    extra steps); falls back to bisection on an expanding bracket if
+    Newton stalls or leaves the domain. Raises DegenerateSampleError when
+    the sample has no dispersion (n < 2 or all observations equal).
     """
     if sample.n < 2:
         raise DegenerateSampleError("shape fit needs at least two observations")
@@ -85,51 +173,15 @@ def fit_shape(sample):
         raise DegenerateSampleError(
             "all observations are (numerically) equal; the fitted shape diverges"
         )
-
-    alpha = _initial_shape(s)
-    u = math.log(alpha)
-    iterations = 0
-    stalls = 0
-    prev_abs_f = math.inf
-    fell_back = False
-    residual = math.inf
-    for _ in range(_MAX_NEWTON):
-        f = _score(alpha, s)
-        residual = abs(f)
-        if residual <= _RESIDUAL_TOL:
-            break
-        if residual >= prev_abs_f:
-            stalls += 1
-            if stalls >= _MAX_STALLS:
-                fell_back = True
-                break
-        else:
-            stalls = 0
-        prev_abs_f = residual
-        deriv = 1.0 / alpha - trigamma(alpha)
-        step = -f / (alpha * deriv)
-        if not math.isfinite(step):
-            fell_back = True
-            break
-        iterations += 1
-        u += step
-        if not -700.0 < u < 700.0:
-            fell_back = True
-            break
-        alpha = math.exp(u)
-        if abs(step) <= _STEP_TOL:
-            residual = abs(_score(alpha, s))
-            break
-    else:
-        fell_back = residual > _RESIDUAL_TOL
-
-    if fell_back or residual > _RESIDUAL_TOL:
-        alpha, residual, iterations = _bisect(s, _initial_shape(s), iterations)
+    alpha, residual, iterations, failures = _solve(np.array([s]))
+    if failures:
+        raise failures[0]
 
     mean = float(np.sum(np.sort(sample.observations))) / sample.n
+    alpha_hat = float(alpha[0])
     return MleResult(
-        alpha_hat=alpha,
-        rate_hat=alpha / mean,
-        iterations=iterations,
-        residual=residual,
+        alpha_hat=alpha_hat,
+        rate_hat=alpha_hat / mean,
+        iterations=int(iterations[0]),
+        residual=float(residual[0]),
     )

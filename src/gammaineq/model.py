@@ -12,13 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .special import digamma, log_gamma_ratio_scaled, _check_count, _check_positive
-
-# A generator produced by numpy; every sampler call consumes from one of these.
-RngStream = np.random.Generator
-
-# ln x - psi(x) switches to its Bernoulli series here (cancellation guard).
-_SERIES_CUTOFF = 12.0
+from .special import (
+    _check_count,
+    _check_positive,
+    _digamma,
+    _ln_minus_digamma,
+    _log_gamma_ratio_scaled,
+    digamma,
+    log_gamma_ratio_scaled,
+)
 
 
 @dataclass(frozen=True)
@@ -94,19 +96,6 @@ class Sample:
         return hash((self.observations.size, self.observations.tobytes()))
 
 
-def _ln_minus_psi(x):
-    # ln x - psi(x), always in (0, 1/x); the direct subtraction cancels
-    # catastrophically once x is large, so switch to the series tail
-    if x < _SERIES_CUTOFF:
-        return math.log(x) - digamma(x)
-    inv = 1.0 / x
-    t = inv * inv
-    return 0.5 * inv + t * (
-        1.0 / 12.0
-        - t * (1.0 / 120.0 - t * (1.0 / 252.0 - t * (1.0 / 240.0 - t * (1.0 / 132.0))))
-    )
-
-
 def theil_t_population(params):
     """Population Theil T index: psi(shape) + 1/shape - ln(shape)."""
     a = params.shape
@@ -115,14 +104,14 @@ def theil_t_population(params):
 
 def theil_l_population(params):
     """Population Theil L (mean log deviation) index: ln(shape) - psi(shape)."""
-    return _ln_minus_psi(params.shape)
+    return float(_ln_minus_digamma(params.shape))
 
 
 def atkinson_population(params):
     """Population Atkinson index (unit inequality aversion):
     1 - exp(psi(shape))/shape, evaluated as -expm1(-theil_l) so the value
     stays inside (0, 1) with full relative accuracy for any shape."""
-    return -math.expm1(-_ln_minus_psi(params.shape))
+    return -math.expm1(-theil_l_population(params))
 
 
 def population_values(params):
@@ -164,17 +153,35 @@ def expected_atkinson(params, n):
     return max(0.0, -math.expm1(gap))
 
 
+# The bias kernels below take a shape as a float or an array, so the Monte
+# Carlo engine evaluates them on a whole block of fitted shapes at once.
+
+
+def _bias_theil_t(shape, n):
+    x = n * shape
+    return _ln_minus_digamma(x) - 1.0 / x
+
+
 def bias_theil_t(params, n):
     """Closed-form bias of the Theil T estimator: ln(na) - 1/(na) - psi(na).
     Strictly negative; vanishes as na grows."""
-    x = _scaled_shape(params, n)
-    return _ln_minus_psi(x) - 1.0 / x
+    return float(_bias_theil_t(params.shape, _check_count(n, "n")))
+
+
+def _bias_theil_l(shape, n):
+    return -_ln_minus_digamma(n * shape)
 
 
 def bias_theil_l(params, n):
     """Closed-form bias of the Theil L estimator: psi(na) - ln(na).
     Strictly negative; equals -bias_theil_t - 1/(na)."""
-    return -_ln_minus_psi(_scaled_shape(params, n))
+    return float(_bias_theil_l(params.shape, _check_count(n, "n")))
+
+
+def _bias_atkinson(shape, n):
+    lgr = _log_gamma_ratio_scaled(shape, n)
+    drop = np.minimum(_digamma(shape) - lgr, 0.0)
+    return np.exp(lgr - np.log(shape)) * np.expm1(drop)
 
 
 def bias_atkinson(params, n):
@@ -189,13 +196,7 @@ def bias_atkinson(params, n):
     lgr >= psi(a), and the clamp keeps the nonpositive sign from flipping
     within rounding noise.
     """
-    a = params.shape
-    _check_count(n, "n")
-    lgr = log_gamma_ratio_scaled(a, n)
-    drop = digamma(a) - lgr
-    if drop > 0.0:
-        drop = 0.0
-    return math.exp(lgr - math.log(a)) * math.expm1(drop)
+    return float(_bias_atkinson(params.shape, _check_count(n, "n")))
 
 
 def _gamma_variates_ge1(stream, shape, count):

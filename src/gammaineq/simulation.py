@@ -1,11 +1,16 @@
 """Monte Carlo study of the six estimators (three uncorrected, three
 bias-corrected) over a grid of shapes and sample sizes.
 
-Reproducibility model: every replication owns a private counter-based
-stream derived by hashing (master_seed, alpha_index, n_index, replication),
-so results are a pure function of the config no matter how the work is
-scheduled. Aggregation always reduces in replication order with exact
-compensated summation.
+Stream model: the replications of a cell are split into blocks of
+R = max(1, 2**16 // n) replications (the last block may be shorter); R
+depends on the sample size n only, never on the worker count. Block b of
+cell (alpha_index, n_index) owns one counter-based stream, derived by
+hashing (master_seed, alpha_index, n_index, b), and draws all its rows*n
+observations with one sample_gamma call; reshaped row-major to (rows, n),
+row r is replication b*R + r. Results are therefore a pure function of the
+config no matter how the (cell, block) tasks are scheduled. Each block is
+estimated, fitted and bias-corrected as arrays; aggregation reduces in
+replication order with exact compensated summation.
 """
 
 import math
@@ -14,20 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import atkinson_hat, theil_l_hat, theil_t_hat
-from .exceptions import DegenerateSampleError, DomainError, NoConvergenceError
-from .mle import fit_shape
+from .estimators import _row_estimates
+from .exceptions import DomainError
+from .mle import _fitted_shapes
 from .model import (
     GammaParams,
+    _bias_atkinson,
+    _bias_theil_l,
+    _bias_theil_t,
     atkinson_population,
-    bias_atkinson,
-    bias_theil_l,
-    bias_theil_t,
     sample_gamma,
     theil_l_population,
     theil_t_population,
 )
-from .special import _check_count
+from .special import _check_count, _check_index
 
 ESTIMATOR_IDS = (
     "theil_t",
@@ -53,20 +58,15 @@ _MIN_TRUE_VALUE = 1e-6
 _MASK64 = (1 << 64) - 1
 
 
+# Observations drawn per block; a block holds max(1, this // n) replications.
+_BLOCK_VARIATES = 2**16
+
+
 def _check_seed(master_seed):
-    if isinstance(master_seed, bool) or not isinstance(master_seed, int):
-        raise DomainError(f"master_seed must be an integer, got {master_seed!r}")
-    if not 0 <= master_seed <= _MASK64:
+    master_seed = _check_index(master_seed, "master_seed")
+    if master_seed > _MASK64:
         raise DomainError(f"master_seed must fit in 64 unsigned bits, got {master_seed}")
     return master_seed
-
-
-def _check_index(value, name):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise DomainError(f"{name} must be nonnegative, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -99,19 +99,19 @@ class SimConfig:
                     f"alpha={a:g} makes the smallest true index {smallest:.3g} < {_MIN_TRUE_VALUE:g}; "
                     "relative bias would be meaningless"
                 )
-        ns = tuple(self.ns)
+        ns = tuple(_check_count(n, "n") for n in self.ns)
         if not ns:
             raise DomainError("ns must be nonempty")
-        for n in ns:
-            _check_count(n, "n")
         if len(set(ns)) != len(ns):
             raise DomainError("ns must be unique")
-        _check_count(self.n_sim, "n_sim")
+        n_sim = _check_count(self.n_sim, "n_sim")
         if self.rate != RATE_ALPHA:
             GammaParams(1.0, self.rate)
-        _check_seed(self.master_seed)
+        master_seed = _check_seed(self.master_seed)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "ns", ns)
+        object.__setattr__(self, "n_sim", n_sim)
+        object.__setattr__(self, "master_seed", master_seed)
 
     def rate_for(self, alpha):
         return float(alpha) if self.rate == RATE_ALPHA else float(self.rate)
@@ -140,32 +140,61 @@ def _mix64(z):
     return z ^ (z >> 31)
 
 
-def derive_stream(master_seed, alpha_index, n_index, replication):
-    """Deterministic, statistically independent stream for one replication.
+def derive_stream(master_seed, alpha_index, n_index, block):
+    """Deterministic, statistically independent stream for one block of
+    replications.
 
     The coordinates are absorbed one at a time through the splitmix64
     avalanche and the result keys a 128-bit Philox counter-based generator,
-    so distinct (seed, alpha_index, n_index, replication) tuples give
-    distinct streams with no shared state.
+    so distinct (seed, alpha_index, n_index, block) tuples give distinct
+    streams with no shared state.
     """
-    _check_seed(master_seed)
-    h = master_seed
+    h = _check_seed(master_seed)
     for word in (
         _check_index(alpha_index, "alpha_index"),
         _check_index(n_index, "n_index"),
-        _check_index(replication, "replication"),
+        _check_index(block, "block"),
     ):
         h = _mix64(h ^ (word & _MASK64))
     key = h | (_mix64(h) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _blocks(n, n_sim):
+    """(block index, rows) of every block of a cell, in replication order."""
+    size = max(1, _BLOCK_VARIATES // n)
+    return [(b, min(size, n_sim - start)) for b, start in enumerate(range(0, n_sim, size))]
+
+
+def _run_block(params, n, rows, master_seed, alpha_index, n_index, block):
+    """Per-replication values of one block, one array per estimator in
+    ESTIMATOR_IDS order: the uncorrected arrays hold every row, the
+    corrected ones the rows whose shape fit succeeded."""
+    stream = derive_stream(master_seed, alpha_index, n_index, block)
+    x = sample_gamma(params, rows * n, stream).observations.reshape(rows, n)
+    tt, tl, at = _row_estimates(x)
+    # the Theil L estimate is the fit's log-moment gap by definition; rows
+    # without dispersion (every row when n = 1) get no fitted shape
+    alpha_hat = _fitted_shapes(tl)
+    ok = ~np.isnan(alpha_hat)
+    fitted = alpha_hat[ok]
+    return (
+        tt,
+        tt[ok] - _bias_theil_t(fitted, n),
+        tl,
+        tl[ok] - _bias_theil_l(fitted, n),
+        at,
+        at[ok] - _bias_atkinson(fitted, n),
+    )
+
+
 def _aggregate(alpha, n, estimator, true_value, values, n_sim):
-    n_effective = len(values)
+    # values: a 1-D array of per-replication estimates in replication order
+    n_effective = values.size
     if n_effective:
-        mean = math.fsum(values) / n_effective
+        mean = math.fsum(values.tolist()) / n_effective
         rel_bias = (mean - true_value) / true_value
-        mse = math.fsum((v - true_value) ** 2 for v in values) / n_effective
+        mse = math.fsum(((values - true_value) ** 2).tolist()) / n_effective
     else:
         mean = rel_bias = mse = math.nan
     return SimSummary(
@@ -181,6 +210,26 @@ def _aggregate(alpha, n, estimator, true_value, values, n_sim):
     )
 
 
+def _summarize(params, n, n_sim, blocks):
+    """The six summaries of one cell from its block results in block order."""
+    trues = {
+        "theil_t": theil_t_population(params),
+        "theil_l": theil_l_population(params),
+        "atkinson": atkinson_population(params),
+    }
+    return [
+        _aggregate(
+            params.shape,
+            n,
+            key,
+            trues[key.removesuffix("_corr")],
+            np.concatenate([block[column] for block in blocks]),
+            n_sim,
+        )
+        for column, key in enumerate(ESTIMATOR_IDS)
+    ]
+
+
 def run_cell(alpha, n, n_sim, rate, master_seed, alpha_index=0, n_index=0):
     """Run all replications for one (alpha, n) cell and aggregate the six
     estimators. Deterministic given master_seed and the cell indices.
@@ -188,86 +237,49 @@ def run_cell(alpha, n, n_sim, rate, master_seed, alpha_index=0, n_index=0):
     Replications whose shape fit fails still contribute to the uncorrected
     aggregates; the corrected ones record them in n_failed.
     """
-    params = GammaParams(float(alpha), float(rate))
-    _check_count(n, "n")
-    _check_count(n_sim, "n_sim")
-    _check_seed(master_seed)
-    _check_index(alpha_index, "alpha_index")
-    _check_index(n_index, "n_index")
-
-    plain = {key: [] for key in ("theil_t", "theil_l", "atkinson")}
-    corrected = {key: [] for key in ("theil_t_corr", "theil_l_corr", "atkinson_corr")}
-    for replication in range(n_sim):
-        stream = derive_stream(master_seed, alpha_index, n_index, replication)
-        sample = sample_gamma(params, n, stream)
-        tt = theil_t_hat(sample)
-        tl = theil_l_hat(sample)
-        at = atkinson_hat(sample)
-        plain["theil_t"].append(tt)
-        plain["theil_l"].append(tl)
-        plain["atkinson"].append(at)
-        if n < 2:
-            continue
-        try:
-            fit = fit_shape(sample)
-        except (DegenerateSampleError, NoConvergenceError):
-            continue
-        fitted = GammaParams(fit.alpha_hat)
-        corrected["theil_t_corr"].append(tt - bias_theil_t(fitted, n))
-        corrected["theil_l_corr"].append(tl - bias_theil_l(fitted, n))
-        corrected["atkinson_corr"].append(at - bias_atkinson(fitted, n))
-
-    trues = {
-        "theil_t": theil_t_population(params),
-        "theil_l": theil_l_population(params),
-        "atkinson": atkinson_population(params),
-    }
-    summaries = []
-    for key in ESTIMATOR_IDS:
-        base = key.removesuffix("_corr")
-        values = corrected[key] if key.endswith("_corr") else plain[key]
-        summaries.append(
-            _aggregate(float(alpha), n, key, trues[base], values, n_sim)
-        )
-    return summaries
-
-
-def _run_cell_task(task):
-    alpha_index, n_index, alpha, n, n_sim, rate, master_seed = task
-    rows = run_cell(
-        alpha, n, n_sim, rate, master_seed, alpha_index=alpha_index, n_index=n_index
-    )
-    return alpha_index, n_index, rows
+    params = GammaParams(alpha, rate)
+    n = _check_count(n, "n")
+    n_sim = _check_count(n_sim, "n_sim")
+    master_seed = _check_seed(master_seed)
+    alpha_index = _check_index(alpha_index, "alpha_index")
+    n_index = _check_index(n_index, "n_index")
+    blocks = [
+        _run_block(params, n, rows, master_seed, alpha_index, n_index, b)
+        for b, rows in _blocks(n, n_sim)
+    ]
+    return _summarize(params, n, n_sim, blocks)
 
 
 def run_grid(config, workers=1):
     """Run the full grid and return summaries ordered by (alpha ascending,
     n ascending, fixed estimator order). Output is identical for any
-    worker count."""
+    worker count: the pool runs (cell, block) tasks, and each cell is
+    put back together in block order before it is aggregated."""
     if not isinstance(config, SimConfig):
         raise DomainError(f"expected a SimConfig, got {type(config).__name__}")
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise DomainError(f"workers must be a positive integer, got {workers!r}")
 
-    alphas = sorted(config.alphas)
-    ns = sorted(config.ns)
-    tasks = [
-        (ai, ni, alpha, n, config.n_sim, config.rate_for(alpha), config.master_seed)
-        for ai, alpha in enumerate(alphas)
-        for ni, n in enumerate(ns)
+    cells = [
+        (ai, ni, GammaParams(alpha, config.rate_for(alpha)), n)
+        for ai, alpha in enumerate(sorted(config.alphas))
+        for ni, n in enumerate(sorted(config.ns))
     ]
-    results = {}
+    tasks = [
+        (params, n, rows, config.master_seed, ai, ni, b)
+        for ai, ni, params, n in cells
+        for b, rows in _blocks(n, config.n_sim)
+    ]
     if workers == 1 or len(tasks) == 1:
-        for task in tasks:
-            ai, ni, rows = _run_cell_task(task)
-            results[(ai, ni)] = rows
+        results = [_run_block(*task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            for ai, ni, rows in pool.map(_run_cell_task, tasks):
-                results[(ai, ni)] = rows
+            results = list(pool.map(_run_block, *zip(*tasks)))
 
+    by_cell = {}
+    for (_, _, _, _, ai, ni, _), result in zip(tasks, results):
+        by_cell.setdefault((ai, ni), []).append(result)
     ordered = []
-    for ai in range(len(alphas)):
-        for ni in range(len(ns)):
-            ordered.extend(results[(ai, ni)])
+    for ai, ni, params, n in cells:
+        ordered.extend(_summarize(params, n, config.n_sim, by_cell[(ai, ni)]))
     return ordered

@@ -1,10 +1,13 @@
 """Gamma shape fitting: frozen examples, an independent bisection oracle
-built on scipy's digamma, degeneracy handling, and invariances."""
+built on scipy's digamma, a brentq oracle on a 30-digit score for full
+convergence, degeneracy handling, and invariances."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy import special as sps
 
 from gammaineq import (
@@ -76,6 +79,30 @@ def test_fit_matches_bisection_oracle():
         result = fit_shape(sample)
         assert result.alpha_hat == pytest.approx(oracle_shape(s), rel=1e-8)
         assert result.residual <= 1e-10
+        checked += 1
+
+
+def test_fit_converges_fully_against_brentq():
+    # samples drawn as in acceptance criterion 5; the oracle root comes from
+    # brentq at its tightest relative tolerance on a 30-digit score
+    def score(a, s):
+        with mpmath.workdps(30):
+            return float(mpmath.log(a) - mpmath.digamma(a) - mpmath.mpf(s))
+
+    rng = np.random.default_rng(5150)
+    checked = 0
+    while checked < 200:
+        n = int(rng.integers(2, 300))
+        shape = 10.0 ** rng.uniform(-1.0, 2.0)
+        xs = rng.gamma(shape, size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if xs.min() <= 0.0:
+            continue
+        sample = Sample(xs)
+        s = log_moment_gap(sample)
+        if s < 1e-10:
+            continue
+        want = optimize.brentq(score, 1e-12, 1e12, args=(s,), xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        assert fit_shape(sample).alpha_hat == pytest.approx(want, rel=1e-13, abs=0.0)
         checked += 1
 
 

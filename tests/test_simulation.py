@@ -1,6 +1,7 @@
-"""Monte Carlo harness: stream derivation, cell aggregation against a
-manual recompute, grid ordering, parallel determinism, and a CLT-scale
-check of the closed-form expectations."""
+"""Monte Carlo harness: stream derivation, the block layout against a
+manual recompute with the scalar functions, grid ordering, parallel
+determinism, numpy scalar arguments, and a CLT-scale check of the
+closed-form expectations."""
 
 import math
 
@@ -14,6 +15,7 @@ from gammaineq import (
     RATE_ALPHA,
     DomainError,
     GammaParams,
+    Sample,
     SimConfig,
     atkinson_hat,
     atkinson_population,
@@ -31,6 +33,18 @@ from gammaineq import (
     theil_l_population,
     theil_t_hat,
     theil_t_population,
+)
+from gammaineq.cli import _csv_field
+from gammaineq.simulation import _run_block
+
+# run_cell(1.5, 10, 200, 1.0, 42) means in ESTIMATOR_IDS order
+PINNED_MEANS_15_10_200_SEED42 = (
+    0.25642889754733555,
+    0.28533706575009743,
+    0.32422924294204636,
+    0.3538073108838296,
+    0.2693042652613543,
+    0.29725057597944377,
 )
 
 # frozen 40-digit oracle values at (alpha, n) = (1.5, 10)
@@ -97,29 +111,82 @@ def test_run_cell_summary_invariants():
             assert row.n_effective == 40
 
 
-def test_run_cell_matches_manual_recompute():
-    alpha, n, n_sim, seed = 2.0, 4, 3, 17
-    params = GammaParams(alpha)
-    plain = {"theil_t": [], "theil_l": [], "atkinson": []}
-    corr = {"theil_t_corr": [], "theil_l_corr": [], "atkinson_corr": []}
-    for rep in range(n_sim):
-        sample = sample_gamma(params, n, derive_stream(seed, 0, 0, rep))
-        tt, tl, at = theil_t_hat(sample), theil_l_hat(sample), atkinson_hat(sample)
-        plain["theil_t"].append(tt)
-        plain["theil_l"].append(tl)
-        plain["atkinson"].append(at)
-        fitted = GammaParams(fit_shape(sample).alpha_hat)
-        corr["theil_t_corr"].append(tt - bias_theil_t(fitted, n))
-        corr["theil_l_corr"].append(tl - bias_theil_l(fitted, n))
-        corr["atkinson_corr"].append(at - bias_atkinson(fitted, n))
+# Per-replication values of the block engine against the scalar functions:
+# the bound criterion 4 uses for vectorised against scalar estimators.
+PER_REPLICATION_ABS = 1e-12
+AGGREGATE_REL = 1e-12
 
-    rows = {row.estimator: row for row in run_cell(alpha, n, n_sim, 1.0, seed)}
-    for key, values in {**plain, **corr}.items():
+
+def manual_cell(alpha, n, n_sim, seed, alpha_index=0, n_index=0):
+    """One cell recomputed replication by replication with the public scalar
+    functions, following the documented stream layout: block b holds
+    R = max(1, 2**16 // n) replications (the last one fewer) and draws
+    rows*n observations from derive_stream(seed, alpha_index, n_index, b),
+    one replication per row. Returns the block sizes and each estimator's
+    values in replication order."""
+    params = GammaParams(alpha)
+    size = max(1, 2**16 // n)
+    sizes = [min(size, n_sim - start) for start in range(0, n_sim, size)]
+    values = {key: [] for key in ESTIMATOR_IDS}
+    for block, rows in enumerate(sizes):
+        stream = derive_stream(seed, alpha_index, n_index, block)
+        draws = sample_gamma(params, rows * n, stream).observations.reshape(rows, n)
+        for row in draws:
+            sample = Sample(row)
+            tt, tl, at = theil_t_hat(sample), theil_l_hat(sample), atkinson_hat(sample)
+            fitted = GammaParams(fit_shape(sample).alpha_hat)
+            for key, value in (
+                ("theil_t", tt),
+                ("theil_l", tl),
+                ("atkinson", at),
+                ("theil_t_corr", tt - bias_theil_t(fitted, n)),
+                ("theil_l_corr", tl - bias_theil_l(fitted, n)),
+                ("atkinson_corr", at - bias_atkinson(fitted, n)),
+            ):
+                values[key].append(value)
+    return sizes, values
+
+
+def check_cell_against_manual(alpha, n, n_sim, seed, alpha_index, n_index):
+    sizes, manual = manual_cell(alpha, n, n_sim, seed, alpha_index, n_index)
+    params = GammaParams(alpha)
+    blocks = [
+        _run_block(params, n, rows, seed, alpha_index, n_index, block)
+        for block, rows in enumerate(sizes)
+    ]
+    rows = {
+        row.estimator: row
+        for row in run_cell(alpha, n, n_sim, 1.0, seed, alpha_index=alpha_index, n_index=n_index)
+    }
+    for column, key in enumerate(ESTIMATOR_IDS):
+        engine = np.concatenate([block[column] for block in blocks])
+        values = manual[key]
+        assert engine.shape == (n_sim,)
+        assert np.max(np.abs(engine - values)) <= PER_REPLICATION_ABS, key
         row = rows[key]
-        assert row.mean_estimate == math.fsum(values) / len(values)
-        assert row.mse == math.fsum((v - row.true_value) ** 2 for v in values) / len(values)
+        mean = math.fsum(values) / n_sim
+        mse = math.fsum((v - row.true_value) ** 2 for v in values) / n_sim
+        assert row.mean_estimate == pytest.approx(mean, rel=AGGREGATE_REL, abs=0.0)
+        assert row.mse == pytest.approx(mse, rel=AGGREGATE_REL, abs=0.0)
         assert row.n_effective == n_sim
         assert row.n_failed == 0
+    return sizes
+
+
+def test_run_cell_matches_manual_recompute():
+    assert check_cell_against_manual(2.0, 4, 3, 17, 0, 0) == [3]
+
+
+def test_run_cell_multi_block_matches_per_block_recompute():
+    # 2**16 // 20000 = 3 replications per block: blocks of 3, 3 and 1
+    assert check_cell_against_manual(0.5, 20_000, 7, 23, 1, 2) == [3, 3, 1]
+
+
+def test_run_cell_pinned_means():
+    # any change to the stream model or the engine's arithmetic shows here
+    rows = run_cell(1.5, 10, 200, 1.0, 42)
+    means = [row.mean_estimate for row in rows]
+    assert means == pytest.approx(PINNED_MEANS_15_10_200_SEED42, rel=1e-12, abs=0.0)
 
 
 def test_run_cell_single_observation_cells():
@@ -153,7 +220,8 @@ def test_run_grid_orders_axes_ascending():
 
 
 def test_run_grid_parallel_matches_serial():
-    config = SimConfig(alphas=(0.5, 2.0), ns=(5, 10), n_sim=30, master_seed=7)
+    # n = 40000 holds one replication per block: five blocks per cell
+    config = SimConfig(alphas=(0.5, 2.0), ns=(5, 40_000), n_sim=5, master_seed=7)
     assert run_grid(config, workers=2) == run_grid(config, workers=1)
 
 
@@ -240,3 +308,33 @@ def test_cell_means_match_closed_form_expectations():
         cor = rows[base + "_corr"]
         assert abs(cor.rel_bias) < abs(unc.rel_bias)
         assert cor.mean_estimate > unc.mean_estimate
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: GammaParams(np.float32(1.5)).shape, 1.5),
+        (lambda: GammaParams(np.int64(3), np.float64(2.0)), GammaParams(3.0, 2.0)),
+        (lambda: run_cell(1.5, np.int64(5), 3, 1.0, 1), run_cell(1.5, 5, 3, 1.0, 1)),
+        (lambda: run_cell(1.5, 5, np.int32(3), 1.0, np.uint64(1), np.int8(0)), run_cell(1.5, 5, 3, 1.0, 1)),
+        (lambda: SimConfig(ns=(np.int64(10),), n_sim=np.int64(4)).ns, (10,)),
+        (lambda: _csv_field(np.float64(1.5)), "1.5"),
+        (lambda: _csv_field(np.int64(5)), "5"),
+    ],
+)
+def test_numpy_scalar_arguments(call, expected):
+    assert call() == expected
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="at alpha=0.1, n=10 the corrected Atkinson overshoots (rel_bias about +0.0087 "
+    "against about -0.0065 uncorrected): criterion 6(b) fails for this cell on some seeds",
+)
+def test_corrected_atkinson_small_shape_within_noise_on_seeds_1_to_10():
+    for seed in range(1, 11):
+        rows = {row.estimator: row for row in run_cell(0.1, 10, 1000, 1.0, seed)}
+        unc, cor = rows["atkinson"], rows["atkinson_corr"]
+        se_unc = se_from_summary(unc) / unc.true_value
+        se_cor = se_from_summary(cor) / cor.true_value
+        assert abs(cor.rel_bias) <= abs(unc.rel_bias) + 3.0 * math.hypot(se_unc, se_cor), seed

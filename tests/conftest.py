@@ -1,8 +1,11 @@
-"""Shared fixtures: test grids and summary-statistics helpers."""
+"""Shared fixtures: test grids, summary-statistics helpers and the sample
+whose outputs are pinned."""
 
 import math
 
 import hypothesis
+
+from gammaineq import GammaParams, derive_stream, sample_gamma
 
 hypothesis.settings.register_profile("slow_box", deadline=None)
 hypothesis.settings.load_profile("slow_box")
@@ -19,3 +22,9 @@ def se_from_summary(row):
     if variance < 0.0:
         variance = 0.0
     return math.sqrt(variance / row.n_effective)
+
+
+def pinned_gamma_sample():
+    """The 10,000-row Gamma(1.5) sample whose estimates and shape fit are
+    pinned bit for bit."""
+    return sample_gamma(GammaParams(1.5), 10_000, derive_stream(42, 0, 0, 0))

@@ -2,11 +2,13 @@
 byte-stable CSV export."""
 
 import csv
+import hashlib
 import subprocess
 import sys
 
 import pytest
 
+from conftest import pinned_gamma_sample
 from gammaineq import SimConfig, run_grid
 from gammaineq.cli import CSV_HEADER, main
 
@@ -136,6 +138,42 @@ def test_estimate_with_correction(tmp_path, capsys):
     assert values["atkinson_corrected"] >= values["atkinson_hat"]
 
 
+# `estimate --correct` stdout for the file {1, 3} and for pinned_gamma_sample
+PAIR_CORRECTED_STDOUT = """\
+n = 2
+theil_t_hat = 0.130812035941
+theil_l_hat = 0.143841036226
+atkinson_hat = 0.133974596216
+alpha_hat = 3.63430278058
+theil_t_corrected = 0.198026672021
+theil_l_corrected = 0.214204370444
+atkinson_corrected = 0.201671076190
+"""
+GAMMA_CORRECTED_STDOUT = """\
+n = 10000
+theil_t_hat = 0.296254140949
+theil_l_hat = 0.368545656373
+atkinson_hat = 0.308260373445
+alpha_hat = 1.50160355978
+theil_t_corrected = 0.296287438317
+theil_l_corrected = 0.368578954479
+atkinson_corrected = 0.308292659328
+"""
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        (lambda: [1.0, 3.0], PAIR_CORRECTED_STDOUT),
+        (lambda: pinned_gamma_sample().observations.tolist(), GAMMA_CORRECTED_STDOUT),
+    ],
+)
+def test_estimate_correct_stdout_pinned(tmp_path, capsys, values, expected):
+    data = tmp_path / "obs.txt"
+    data.write_text("".join(f"{value!r}\n" for value in values()))
+    assert run_cli(capsys, "estimate", str(data), "--correct") == (0, expected, "")
+
+
 def test_estimate_correction_unavailable_exits_3(tmp_path, capsys):
     data = tmp_path / "obs.txt"
     data.write_text("5\n5\n5\n")
@@ -215,6 +253,19 @@ def test_simulate_output_is_byte_stable(tmp_path, capsys):
     payload = first.read_bytes()
     assert payload == second.read_bytes()
     assert payload == parallel.read_bytes()
+
+
+# sha256 of the default `simulate --seed 42` CSV: any change to the stream
+# model or to the last bit of any estimate, fit or aggregate shows here
+DEFAULT_GRID_SHA256 = "8438eb42e441386b1c0e18d9b30390d2524f75f64b9f7501be51c57f094c4823"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_default_grid_sha256_pinned(tmp_path, capsys, workers):
+    out_path = tmp_path / "grid.csv"
+    code, _, _ = run_cli(capsys, "simulate", "--seed", "42", "--workers", workers, "--out", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == DEFAULT_GRID_SHA256
 
 
 def test_simulate_rejects_bad_grid(tmp_path, capsys):

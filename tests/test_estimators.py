@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import pinned_gamma_sample
 from gammaineq import (
     CorrectionUnavailableError,
     DomainError,
+    EstimateReport,
     GammaParams,
     Sample,
     atkinson_hat,
@@ -161,6 +163,41 @@ def test_estimate_all_with_correction_smoke():
     assert report.theil_l_corrected > report.theil_l_hat
     assert report.atkinson_corrected >= report.atkinson_hat
     assert report.notes == ()
+
+
+@pytest.mark.parametrize(
+    "make_sample, expected",
+    [
+        (
+            lambda: Sample([1.0, 3.0]),
+            EstimateReport(
+                n=2,
+                theil_t_hat=0.130812035941137,
+                theil_l_hat=0.1438410362258904,
+                atkinson_hat=0.1339745962155613,
+                alpha_hat=3.6343027805778383,
+                theil_t_corrected=0.19802667202063698,
+                theil_l_corrected=0.21420437044431428,
+                atkinson_corrected=0.2016710761897894,
+            ),
+        ),
+        (
+            pinned_gamma_sample,
+            EstimateReport(
+                n=10000,
+                theil_t_hat=0.29625414094940794,
+                theil_l_hat=0.3685456563729967,
+                atkinson_hat=0.30826037344526824,
+                alpha_hat=1.501603559782865,
+                theil_t_corrected=0.29628743831655385,
+                theil_l_corrected=0.3685789544793021,
+                atkinson_corrected=0.3082926593276844,
+            ),
+        ),
+    ],
+)
+def test_estimate_all_report_pinned(make_sample, expected):
+    assert estimate_all(make_sample(), apply_correction=True) == expected
 
 
 def test_estimate_all_single_observation_raises_with_report():

@@ -10,9 +10,11 @@ import pytest
 from scipy import optimize
 from scipy import special as sps
 
+from conftest import pinned_gamma_sample
 from gammaineq import (
     DegenerateSampleError,
     GammaParams,
+    MleResult,
     Sample,
     derive_stream,
     fit_shape,
@@ -38,6 +40,20 @@ def oracle_shape(s):
         else:
             u_hi = u_mid
     return math.exp(0.5 * (u_lo + u_hi))
+
+
+@pytest.mark.parametrize(
+    "make_sample, expected",
+    [
+        (lambda: Sample([1.0, 3.0]), MleResult(3.6343027805778383, 1.8171513902889191, 4, 0.0)),
+        (
+            pinned_gamma_sample,
+            MleResult(1.501603559782865, 0.9993378302800291, 4, 1.6653345369377348e-16),
+        ),
+    ],
+)
+def test_fit_shape_pinned(make_sample, expected):
+    assert fit_shape(make_sample()) == expected
 
 
 def test_log_moment_gap_frozen_example():

@@ -30,9 +30,6 @@ from .model import (
 from .estimators import (
     EstimateReport,
     atkinson_hat,
-    corrected_atkinson,
-    corrected_theil_l,
-    corrected_theil_t,
     estimate_all,
     theil_l_hat,
     theil_t_hat,
@@ -76,9 +73,6 @@ __all__ = [
     "theil_t_population",
     "EstimateReport",
     "atkinson_hat",
-    "corrected_atkinson",
-    "corrected_theil_l",
-    "corrected_theil_t",
     "estimate_all",
     "theil_l_hat",
     "theil_t_hat",

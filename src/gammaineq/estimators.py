@@ -1,26 +1,23 @@
 """Sample estimators of the Theil T, Theil L, and Atkinson indices, plus
 their bias-corrected versions.
 
-All three estimators are one row kernel over a 2-D array of samples: the
-Monte Carlo engine runs it on a whole block of replications, the scalar
-functions on a single row. It sorts each row ascending and accumulates in
-that fixed order, so results are bit-identical under any permutation of
-the input and across thread counts.
+A corrected estimate is one pass over a 2-D array of samples, one per row:
+the row kernel gives the three estimates and the mean, the shape fit
+(mle._fit_shapes) runs on the Theil L estimate, which is its log-moment
+gap, and _bias_corrected subtracts the three closed-form biases at the
+fitted shapes. The Monte Carlo engine runs that pass on a whole block of
+replications, the scalar functions here on a single row. The kernel sorts
+each row ascending and accumulates in that fixed order, so results are
+bit-identical under any permutation of the input.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .exceptions import CorrectionUnavailableError, DegenerateSampleError, DomainError
-from .model import (
-    GammaParams,
-    Sample,
-    bias_atkinson,
-    bias_theil_l,
-    bias_theil_t,
-)
+from .model import Sample, _bias_atkinson, _bias_theil_l, _bias_theil_t
 
 # Fitted shapes beyond this get a diagnostic note: the sample is so close to
 # degenerate that the corrections are numerically zero.
@@ -44,29 +41,53 @@ class EstimateReport:
 
 
 def _row_estimates(x):
-    """Theil T, Theil L and Atkinson estimates of every row of the 2-D
-    array x, one sample per row, as three arrays.
+    """Theil T, Theil L and Atkinson estimates and the mean of every row of
+    the 2-D array x, one sample per row, as four arrays.
 
     Each row is sorted and accumulated in that fixed order, so a row's
-    values do not depend on the order of its observations.
+    values do not depend on the order of its observations. Raises
+    DomainError when a row with spread has a sum of x or of x*ln(x) beyond
+    the float64 range.
     """
     x = np.sort(x, axis=1)
     n = x.shape[1]
     logs = np.log(x)
-    total = x.sum(axis=1)
-    tt = (x * logs).sum(axis=1) / total - np.log(total) + math.log(n)
-    tl = np.log(total / n) - logs.sum(axis=1) / n
-    # exact zeros for equal rows; elsewhere clamp rounding below zero
     spread = x[:, 0] != x[:, -1]
+    # an overflowed sum is checked below; for equal rows it is harmless
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = x.sum(axis=1)
+        weighted = (x * logs).sum(axis=1)
+        overflow = spread & ~(np.isfinite(total) & np.isfinite(weighted))
+        if overflow.any():
+            raise DomainError(
+                "the sum of x or of x*ln(x) overflows float64 "
+                f"(largest observation {x[overflow, -1].max():.6g})"
+            )
+        mean = total / n
+        tt = weighted / total - np.log(total) + math.log(n)
+        tl = np.log(mean) - logs.sum(axis=1) / n
+    # exact zeros for equal rows; elsewhere clamp rounding below zero
     tt = np.where(spread, np.maximum(tt, 0.0), 0.0)
     tl = np.where(spread, np.maximum(tl, 0.0), 0.0)
-    return tt, tl, -np.expm1(-tl)
+    return tt, tl, -np.expm1(-tl), mean
 
 
-def _estimates(sample):
+def _sample_estimates(sample):
+    """_row_estimates of one Sample: four arrays of one entry each."""
     if not isinstance(sample, Sample):
         raise DomainError(f"expected a Sample, got {type(sample).__name__}")
-    return [float(values[0]) for values in _row_estimates(sample.observations[np.newaxis])]
+    return _row_estimates(sample.observations[np.newaxis])
+
+
+def _bias_corrected(tt, tl, at, alpha, n):
+    """The three estimates minus their closed-form biases at the fitted
+    shapes alpha, elementwise over arrays of rows of size n. Each
+    correction is positive (every bias is negative)."""
+    return (
+        tt - _bias_theil_t(alpha, n),
+        tl - _bias_theil_l(alpha, n),
+        at - _bias_atkinson(alpha, n),
+    )
 
 
 def theil_t_hat(sample):
@@ -74,7 +95,7 @@ def theil_t_hat(sample):
 
     Nonnegative; exactly zero iff all observations are equal.
     """
-    return _estimates(sample)[0]
+    return float(_sample_estimates(sample)[0][0])
 
 
 def theil_l_hat(sample):
@@ -82,32 +103,13 @@ def theil_l_hat(sample):
 
     Nonnegative; exactly zero iff all observations are equal.
     """
-    return _estimates(sample)[1]
+    return float(_sample_estimates(sample)[1][0])
 
 
 def atkinson_hat(sample):
     """Atkinson estimate: 1 - geometric_mean/arithmetic_mean, evaluated as
     1 - exp(-theil_l_hat) so it stays in [0, 1)."""
-    return _estimates(sample)[2]
-
-
-def corrected_theil_t(sample, alpha_hat):
-    """Theil T estimate minus the closed-form bias evaluated at the fitted
-    shape; always exceeds the uncorrected value (the bias is negative)."""
-    alpha_hat = float(alpha_hat)
-    return theil_t_hat(sample) - bias_theil_t(GammaParams(alpha_hat), sample.n)
-
-
-def corrected_theil_l(sample, alpha_hat):
-    """Theil L estimate minus its closed-form bias at the fitted shape."""
-    alpha_hat = float(alpha_hat)
-    return theil_l_hat(sample) - bias_theil_l(GammaParams(alpha_hat), sample.n)
-
-
-def corrected_atkinson(sample, alpha_hat):
-    """Atkinson estimate minus its closed-form bias at the fitted shape."""
-    alpha_hat = float(alpha_hat)
-    return atkinson_hat(sample) - bias_atkinson(GammaParams(alpha_hat), sample.n)
+    return float(_sample_estimates(sample)[2][0])
 
 
 def estimate_all(sample, apply_correction=False):
@@ -118,40 +120,37 @@ def estimate_all(sample, apply_correction=False):
     support the fit (single observation, or all values equal) raises
     CorrectionUnavailableError carrying the uncorrected report.
     """
-    base = EstimateReport(
+    tt, tl, at, _ = _sample_estimates(sample)
+    report = EstimateReport(
         n=sample.n,
-        theil_t_hat=theil_t_hat(sample),
-        theil_l_hat=theil_l_hat(sample),
-        atkinson_hat=atkinson_hat(sample),
+        theil_t_hat=float(tt[0]),
+        theil_l_hat=float(tl[0]),
+        atkinson_hat=float(at[0]),
     )
     if not apply_correction:
-        return base
+        return report
 
-    from .mle import fit_shape
+    from .mle import _fit_shapes
 
-    if sample.n < 2:
-        raise CorrectionUnavailableError(
-            "correction unavailable: a single observation carries no dispersion",
-            report=base,
-        )
-    try:
-        fit = fit_shape(sample)
-    except DegenerateSampleError as exc:
-        raise CorrectionUnavailableError(f"correction unavailable: {exc}", report=base) from exc
+    alpha, _, _, failures = _fit_shapes(tl, sample.n)
+    if failures:
+        exc = failures[0]
+        if isinstance(exc, DegenerateSampleError):
+            raise CorrectionUnavailableError(f"correction unavailable: {exc}", report=report) from exc
+        raise exc
+    tt_corr, tl_corr, at_corr = _bias_corrected(tt, tl, at, alpha, sample.n)
+    alpha_hat = float(alpha[0])
 
     notes = ()
-    if fit.alpha_hat > _LARGE_SHAPE_NOTE_CUTOFF:
+    if alpha_hat > _LARGE_SHAPE_NOTE_CUTOFF:
         notes = (
             "fitted shape exceeds 1e6: sample is near-degenerate and the corrections are ~0",
         )
-    return EstimateReport(
-        n=base.n,
-        theil_t_hat=base.theil_t_hat,
-        theil_l_hat=base.theil_l_hat,
-        atkinson_hat=base.atkinson_hat,
-        alpha_hat=fit.alpha_hat,
-        theil_t_corrected=corrected_theil_t(sample, fit.alpha_hat),
-        theil_l_corrected=corrected_theil_l(sample, fit.alpha_hat),
-        atkinson_corrected=corrected_atkinson(sample, fit.alpha_hat),
+    return replace(
+        report,
+        alpha_hat=alpha_hat,
+        theil_t_corrected=float(tt_corr[0]),
+        theil_l_corrected=float(tl_corr[0]),
+        atkinson_corrected=float(at_corr[0]),
         notes=notes,
     )

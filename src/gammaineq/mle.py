@@ -4,8 +4,10 @@ The score equation reduces to ln(alpha) - psi(alpha) = s where s is the
 log-moment gap ln(mean) - mean(log). The left side is strictly decreasing
 from +inf to 0, so the root is unique for any s > 0.
 
-One Newton solver works on an array of gaps at once: the Monte Carlo
-engine passes a whole block of replications, fit_shape a single value.
+One fit function works on an array of gaps at once. A sample's gap is its
+Theil L estimate, which the row kernel (estimators._row_estimates) computes
+in the same pass as the sample's mean; the Monte Carlo engine fits a whole
+block of replications, fit_shape and estimate_all a single sample.
 """
 
 import math
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import theil_l_hat
+from .estimators import _sample_estimates, theil_l_hat
 from .exceptions import DegenerateSampleError, NoConvergenceError
 from .special import _ln_minus_digamma, _trigamma
 
@@ -127,34 +129,40 @@ def _newton(s):
     return alpha, residual, iterations, converged
 
 
-def _solve(s):
-    """Shape roots for the 1-D array of gaps s (each >= _DEGENERATE_S):
-    Newton for all, then bisection on an expanding bracket for the entries
-    Newton left unconverged. Returns alpha, residual and iteration arrays
-    and a dict of the NoConvergenceError raised for each entry that
-    bisection failed too."""
-    alpha, residual, iterations, converged = _newton(s)
+def _fit_shapes(s, n):
+    """Maximum-likelihood shapes for the 1-D array s of log-moment gaps of
+    samples of size n: Newton for all, then bisection on an expanding
+    bracket for the entries Newton left unconverged.
+
+    Returns alpha, residual and iteration arrays and a dict that maps the
+    index of each entry whose fit failed to its error; failed entries hold
+    NaN. An entry is degenerate (DegenerateSampleError) when n < 2 or
+    s < 1e-12; otherwise it fails only if bisection does
+    (NoConvergenceError).
+    """
+    alpha = np.full(s.shape, np.nan)
+    residual = np.full(s.shape, np.nan)
+    iterations = np.zeros(s.shape, dtype=np.int64)
+    degenerate = (s < _DEGENERATE_S) | (n < 2)
     failures = {}
-    for i in np.flatnonzero(~converged):
-        s_i = float(s[i])
+    if degenerate.any():
+        exc = DegenerateSampleError(
+            "shape fit needs at least two observations"
+            if n < 2
+            else "all observations are (numerically) equal; the fitted shape diverges"
+        )
+        failures = dict.fromkeys(np.flatnonzero(degenerate).tolist(), exc)
+    fit = np.flatnonzero(~degenerate)
+    alpha[fit], residual[fit], iterations[fit], converged = _newton(s[fit])
+    for i in fit[~converged].tolist():
         try:
             alpha[i], residual[i], iterations[i] = _bisect(
-                s_i, float(_initial_shape(s_i)), int(iterations[i])
+                float(s[i]), float(_initial_shape(s[i])), int(iterations[i])
             )
         except NoConvergenceError as exc:
-            failures[int(i)] = exc
+            alpha[i] = residual[i] = np.nan
+            failures[i] = exc
     return alpha, residual, iterations, failures
-
-
-def _fitted_shapes(s):
-    """Fitted shape for every gap in the 1-D array s, NaN where the sample
-    is degenerate (s < _DEGENERATE_S) or no root was found."""
-    out = np.full(s.shape, np.nan)
-    fit = np.flatnonzero(s >= _DEGENERATE_S)
-    alpha, _, _, failures = _solve(s[fit])
-    alpha[list(failures)] = np.nan
-    out[fit] = alpha
-    return out
 
 
 def fit_shape(sample):
@@ -166,22 +174,14 @@ def fit_shape(sample):
     Newton stalls or leaves the domain. Raises DegenerateSampleError when
     the sample has no dispersion (n < 2 or all observations equal).
     """
-    if sample.n < 2:
-        raise DegenerateSampleError("shape fit needs at least two observations")
-    s = log_moment_gap(sample)
-    if s < _DEGENERATE_S:
-        raise DegenerateSampleError(
-            "all observations are (numerically) equal; the fitted shape diverges"
-        )
-    alpha, residual, iterations, failures = _solve(np.array([s]))
+    _, s, _, mean = _sample_estimates(sample)
+    alpha, residual, iterations, failures = _fit_shapes(s, sample.n)
     if failures:
         raise failures[0]
-
-    mean = float(np.sum(np.sort(sample.observations))) / sample.n
     alpha_hat = float(alpha[0])
     return MleResult(
         alpha_hat=alpha_hat,
-        rate_hat=alpha_hat / mean,
+        rate_hat=alpha_hat / float(mean[0]),
         iterations=int(iterations[0]),
         residual=float(residual[0]),
     )

@@ -15,23 +15,14 @@ replication order with exact compensated summation.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .estimators import _row_estimates
+from .estimators import _bias_corrected, _row_estimates
 from .exceptions import DomainError
-from .mle import _fitted_shapes
-from .model import (
-    GammaParams,
-    _bias_atkinson,
-    _bias_theil_l,
-    _bias_theil_t,
-    atkinson_population,
-    sample_gamma,
-    theil_l_population,
-    theil_t_population,
-)
+from .mle import _fit_shapes
+from .model import GammaParams, population_values, sample_gamma
 from .special import _check_count, _check_index
 
 ESTIMATOR_IDS = (
@@ -88,12 +79,7 @@ class SimConfig:
         if len(set(alphas)) != len(alphas):
             raise DomainError("alphas must be unique")
         for a in alphas:
-            params = GammaParams(a)
-            smallest = min(
-                theil_t_population(params),
-                theil_l_population(params),
-                atkinson_population(params),
-            )
+            smallest = min(astuple(population_values(GammaParams(a))))
             if smallest < _MIN_TRUE_VALUE:
                 raise DomainError(
                     f"alpha={a:g} makes the smallest true index {smallest:.3g} < {_MIN_TRUE_VALUE:g}; "
@@ -172,20 +158,13 @@ def _run_block(params, n, rows, master_seed, alpha_index, n_index, block):
     corrected ones the rows whose shape fit succeeded."""
     stream = derive_stream(master_seed, alpha_index, n_index, block)
     x = sample_gamma(params, rows * n, stream).observations.reshape(rows, n)
-    tt, tl, at = _row_estimates(x)
+    tt, tl, at, _ = _row_estimates(x)
     # the Theil L estimate is the fit's log-moment gap by definition; rows
     # without dispersion (every row when n = 1) get no fitted shape
-    alpha_hat = _fitted_shapes(tl)
+    alpha_hat, _, _, _ = _fit_shapes(tl, n)
     ok = ~np.isnan(alpha_hat)
-    fitted = alpha_hat[ok]
-    return (
-        tt,
-        tt[ok] - _bias_theil_t(fitted, n),
-        tl,
-        tl[ok] - _bias_theil_l(fitted, n),
-        at,
-        at[ok] - _bias_atkinson(fitted, n),
-    )
+    tt_corr, tl_corr, at_corr = _bias_corrected(tt[ok], tl[ok], at[ok], alpha_hat[ok], n)
+    return tt, tt_corr, tl, tl_corr, at, at_corr
 
 
 def _aggregate(alpha, n, estimator, true_value, values, n_sim):
@@ -212,17 +191,13 @@ def _aggregate(alpha, n, estimator, true_value, values, n_sim):
 
 def _summarize(params, n, n_sim, blocks):
     """The six summaries of one cell from its block results in block order."""
-    trues = {
-        "theil_t": theil_t_population(params),
-        "theil_l": theil_l_population(params),
-        "atkinson": atkinson_population(params),
-    }
+    trues = population_values(params)
     return [
         _aggregate(
             params.shape,
             n,
             key,
-            trues[key.removesuffix("_corr")],
+            getattr(trues, key.removesuffix("_corr")),
             np.concatenate([block[column] for block in blocks]),
             n_sim,
         )

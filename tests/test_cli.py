@@ -3,6 +3,9 @@ byte-stable CSV export."""
 
 import csv
 import hashlib
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -11,6 +14,9 @@ import pytest
 from conftest import pinned_gamma_sample
 from gammaineq import SimConfig, run_grid
 from gammaineq.cli import CSV_HEADER, main
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +190,21 @@ def test_estimate_correction_unavailable_exits_3(tmp_path, capsys):
     assert run_cli(capsys, "estimate", str(data), "--correct")[0] == 3
 
 
+@pytest.mark.parametrize("flags", [(), ("--correct",)])
+def test_estimate_overflowing_sums_exit_1(tmp_path, capsys, flags):
+    data = tmp_path / "obs.txt"
+    data.write_text("1e308\n5e307\n1e308\n")
+    code, out, err = run_cli(capsys, "estimate", str(data), *flags)
+    assert code == 1
+    assert out == ""
+    assert "overflows float64" in err and err.count("\n") == 1
+    # equal observations have no spread to measure: their sums may overflow
+    data.write_text("1e308\n1e308\n")
+    code, out, _ = run_cli(capsys, "estimate", str(data))
+    assert code == 0
+    assert parse_report(out)["theil_t_hat"] == 0.0
+
+
 def test_estimate_invalid_line_reported(tmp_path, capsys):
     data = tmp_path / "obs.txt"
     data.write_text("1.0\nfoo\n2.0\n")
@@ -213,6 +234,20 @@ def test_estimate_empty_and_missing_files(tmp_path, capsys):
     code, _, err = run_cli(capsys, "estimate", str(tmp_path / "does-not-exist.txt"))
     assert code == 1
     assert "gammaineq:" in err
+
+
+def test_readme_examples(tmp_path, monkeypatch, capsys):
+    # each `$ gammaineq ...` line of the README, up to the closing fence
+    examples = re.findall(
+        r"^\$ gammaineq (population|expectation|estimate)([^\n]*)\n(.*?)^```",
+        README.read_text(encoding="utf-8"),
+        re.M | re.S,
+    )
+    assert [command for command, _, _ in examples] == ["population", "expectation", "estimate"]
+    (tmp_path / "observations.txt").write_text("1\n3\n")
+    monkeypatch.chdir(tmp_path)
+    for command, args, expected in examples:
+        assert run_cli(capsys, command, *shlex.split(args)) == (0, expected, ""), command
 
 
 SIM_FLAGS = ("--alphas", "0.5,2.0", "--ns", "2,4", "--nsim", "6", "--seed", "5")
@@ -276,6 +311,17 @@ def test_simulate_rejects_bad_grid(tmp_path, capsys):
     assert run_cli(capsys, "simulate", "--nsim", "0", "--out", out_path)[0] == 1
     assert run_cli(capsys, "simulate", "--rate", "-1", "--out", out_path)[0] == 1
     assert run_cli(capsys, "simulate", "--seed", "-1", "--out", out_path)[0] == 1
+
+
+def test_simulate_overflowing_sums_exit_1(tmp_path, capsys):
+    out_path = tmp_path / "x.csv"
+    code, _, err = run_cli(
+        capsys, "simulate", "--alphas", "2", "--ns", "200", "--nsim", "5",
+        "--rate", "1e-306", "--out", str(out_path),
+    )
+    assert code == 1
+    assert "overflows float64" in err and err.count("\n") == 1
+    assert not out_path.exists()
 
 
 def test_simulate_unwritable_path_exits_1(capsys):

@@ -1,5 +1,6 @@
 """Sample estimators: frozen worked examples, algebraic invariants under
-permutation and rescaling, and the corrected-estimate plumbing."""
+permutation and rescaling, the bias correction, and the one-pass
+estimate -> fit -> correct path of estimate_all."""
 
 import math
 
@@ -19,15 +20,14 @@ from gammaineq import (
     bias_atkinson,
     bias_theil_l,
     bias_theil_t,
-    corrected_atkinson,
-    corrected_theil_l,
-    corrected_theil_t,
     derive_stream,
     estimate_all,
     sample_gamma,
     theil_l_hat,
     theil_t_hat,
 )
+from gammaineq import estimators, mle
+from gammaineq.estimators import _bias_corrected, _sample_estimates
 
 # frozen 40-digit oracle values for the sample {1, 3}
 TT_1_3 = 0.13081203594113696  # ln 2 - (3/4) ln 3 + (3/2) ln 3 - ... collapsed form
@@ -37,6 +37,14 @@ AT_1_3 = 0.13397459621556135  # 1 - sqrt(3)/2
 TT_CORR_1_3 = 0.36044919047965879
 TL_CORR_1_3 = 0.41420388168736863
 AT_CORR_1_3 = 0.35791327604612449
+
+
+def corrected(sample, alpha_hat):
+    """The three corrected estimates of sample at the shape alpha_hat, from
+    the correction function that estimate_all and the engine share."""
+    tt, tl, at, _ = _sample_estimates(sample)
+    return [float(v[0]) for v in _bias_corrected(tt, tl, at, np.array([alpha_hat]), sample.n)]
+
 
 positive_floats = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
 observation_lists = st.lists(positive_floats, min_size=1, max_size=40)
@@ -50,10 +58,10 @@ def test_frozen_pair_example():
 
 
 def test_frozen_corrected_pair_example():
-    sample = Sample([1.0, 3.0])
-    assert corrected_theil_t(sample, 1.0) == pytest.approx(TT_CORR_1_3, abs=1e-12)
-    assert corrected_theil_l(sample, 1.0) == pytest.approx(TL_CORR_1_3, abs=1e-12)
-    assert corrected_atkinson(sample, 1.0) == pytest.approx(AT_CORR_1_3, abs=1e-12)
+    tt, tl, at = corrected(Sample([1.0, 3.0]), 1.0)
+    assert tt == pytest.approx(TT_CORR_1_3, abs=1e-12)
+    assert tl == pytest.approx(TL_CORR_1_3, abs=1e-12)
+    assert at == pytest.approx(AT_CORR_1_3, abs=1e-12)
 
 
 def test_equal_observations_give_exact_zero():
@@ -124,24 +132,20 @@ def test_atkinson_matches_mean_ratio_route(xs):
 )
 def test_correction_always_increases(xs, alpha_hat):
     sample = Sample(xs)
-    assert corrected_theil_t(sample, alpha_hat) > theil_t_hat(sample)
-    assert corrected_theil_l(sample, alpha_hat) > theil_l_hat(sample)
-    assert corrected_atkinson(sample, alpha_hat) >= atkinson_hat(sample)
+    tt, tl, at = corrected(sample, alpha_hat)
+    assert tt > theil_t_hat(sample)
+    assert tl > theil_l_hat(sample)
+    assert at >= atkinson_hat(sample)
 
 
 def test_correction_shift_equals_negative_bias():
     sample = Sample([0.5, 1.25, 4.0])
     for alpha_hat in (0.3, 1.0, 12.0):
         params = GammaParams(alpha_hat)
-        assert corrected_theil_t(sample, alpha_hat) - theil_t_hat(sample) == pytest.approx(
-            -bias_theil_t(params, 3), abs=1e-12
-        )
-        assert corrected_theil_l(sample, alpha_hat) - theil_l_hat(sample) == pytest.approx(
-            -bias_theil_l(params, 3), abs=1e-12
-        )
-        assert corrected_atkinson(sample, alpha_hat) - atkinson_hat(sample) == pytest.approx(
-            -bias_atkinson(params, 3), abs=1e-12
-        )
+        tt, tl, at = corrected(sample, alpha_hat)
+        assert tt - theil_t_hat(sample) == pytest.approx(-bias_theil_t(params, 3), abs=1e-12)
+        assert tl - theil_l_hat(sample) == pytest.approx(-bias_theil_l(params, 3), abs=1e-12)
+        assert at - atkinson_hat(sample) == pytest.approx(-bias_atkinson(params, 3), abs=1e-12)
 
 
 def test_estimate_all_without_correction():
@@ -198,6 +202,26 @@ def test_estimate_all_with_correction_smoke():
 )
 def test_estimate_all_report_pinned(make_sample, expected):
     assert estimate_all(make_sample(), apply_correction=True) == expected
+
+
+def test_estimate_all_runs_kernel_and_solver_once(monkeypatch):
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(estimators, "_row_estimates")
+    count(mle, "_fit_shapes")
+    count(mle, "_newton")
+    report = estimate_all(pinned_gamma_sample(), apply_correction=True)
+    assert report.alpha_hat is not None
+    assert calls == {"_row_estimates": 1, "_fit_shapes": 1, "_newton": 1}
 
 
 def test_estimate_all_single_observation_raises_with_report():

@@ -7,12 +7,15 @@ Exit codes: 0 success, 1 domain or data error, 2 usage error,
 
 import argparse
 import csv
-import io
+import itertools
 import math
+import operator
 import os
 import sys
 import tempfile
 import time
+
+import numpy as np
 
 from .exceptions import (
     CorrectionUnavailableError,
@@ -90,38 +93,98 @@ def _check_flag_positive(value, flag):
 
 
 def _read_observations(path):
-    """Parse a data file: either one positive number per line, or CSV with
-    an `income` column (detected from the header). Blank lines are ignored.
-    Reports the line number of the first invalid observation."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    """Parse a UTF-8 data file (optionally with a byte-order mark): either one
+    positive number per line, or CSV with an `income` column, detected from
+    the first non-blank line. Blank lines are ignored. Returns the
+    observations as a float64 array.
 
-    lines = text.splitlines()
-    first_content = next((line for line in lines if line.strip()), None)
-    if first_content is None:
-        raise DomainError(f"{path}: no observations found")
-
-    values = []
-    header_tokens = [token.strip() for token in first_content.split(",")]
-    if "income" in header_tokens:
-        reader = csv.DictReader(io.StringIO(text))
-        for row in reader:
-            if all(v is None or not str(v).strip() for v in row.values()):
-                continue
-            raw = row.get("income")
-            line_num = reader.line_num
-            if raw is None or not raw.strip():
-                raise DomainError(f"{path}: line {line_num}: missing income value")
-            values.append(_parse_observation(raw, path, line_num))
-    else:
-        for line_num, line in enumerate(lines, start=1):
-            raw = line.strip()
-            if not raw:
-                continue
-            values.append(_parse_observation(raw, path, line_num))
-    if not values:
+    The file is parsed in one bulk pass. Only when that pass fails, or finds
+    a value that is not finite and positive, is it scanned again line by
+    line (`_scan_lines`, `_scan_incomes`). The scan raises the DomainError
+    naming the line of the first invalid observation; if the bulk pass
+    stopped only at a CSV row of blank fields, which the scan skips, it
+    returns the values instead."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            first = next(filter(str.strip, handle), None)
+            if first is None:
+                raise DomainError(f"{path}: no observations found")
+            is_csv = "income" in [token.strip() for token in first.split(",")]
+            lines = itertools.chain([first], handle)
+            try:
+                values = _bulk_incomes(lines) if is_csv else _bulk_lines(lines)
+            except UnicodeDecodeError:
+                raise
+            except (ValueError, IndexError, csv.Error):
+                values = None
+        if values is None or not (np.isfinite(values) & (values > 0.0)).all():
+            values = np.array(_scan_incomes(path) if is_csv else _scan_lines(path), dtype=float)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    if values.size == 0:
         raise DomainError(f"{path}: no observations found")
     return values
+
+
+def _bulk_lines(lines):
+    return np.fromiter(map(float, filter(str.strip, lines)), dtype=float)
+
+
+def _bulk_incomes(lines):
+    reader = csv.reader(lines)
+    column = _income_column(next(reader))
+    if column is None:
+        return None
+    # csv.reader yields [] for an empty line
+    rows = filter(None, reader)
+    return np.fromiter(map(float, map(operator.itemgetter(column), rows)), dtype=float)
+
+
+def _income_column(header):
+    """Index of the header's column named `income` once stripped (the last
+    one if several are), or None."""
+    names = [name.strip() for name in header]
+    return max((i for i, name in enumerate(names) if name == "income"), default=None)
+
+
+def _scan_lines(path):
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        lines = handle.read().splitlines()
+    return [
+        _parse_observation(line.strip(), path, line_num)
+        for line_num, line in enumerate(lines, start=1)
+        if line.strip()
+    ]
+
+
+def _scan_incomes(path):
+    """A row whose fields are all blank is skipped unless it is longer than
+    the header; `line_num` counts physical lines, so a quoted field that
+    spans lines does not shift the line reported."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = next(row for row in reader if "".join(row).strip())
+        column = _income_column(header)
+        values = []
+        for row in reader:
+            if len(row) <= len(header) and not "".join(row).strip():
+                continue
+            raw = row[column] if column is not None and column < len(row) else ""
+            if not raw.strip():
+                raise DomainError(f"{path}: line {reader.line_num}: missing income value")
+            values.append(_parse_observation(raw, path, reader.line_num))
+    return values
+
+
+def _not_utf8(path, exc):
+    # `exc` counts bytes from the start of the chunk being decoded, not of the file
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole_file:
+        exc = whole_file
+    return DomainError(f"{path}: byte {exc.start}: not UTF-8 text ({exc.reason})")
 
 
 def _parse_observation(raw, path, line_num):

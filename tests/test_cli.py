@@ -9,10 +9,13 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import pinned_gamma_sample
-from gammaineq import SimConfig, run_grid
+from gammaineq import DomainError, SimConfig, cli, run_grid
 from gammaineq.cli import CSV_HEADER, main
 
 
@@ -234,6 +237,125 @@ def test_estimate_empty_and_missing_files(tmp_path, capsys):
     code, _, err = run_cli(capsys, "estimate", str(tmp_path / "does-not-exist.txt"))
     assert code == 1
     assert "gammaineq:" in err
+
+
+PAIR_STDOUT = """\
+n = 2
+theil_t_hat = 0.130812035941
+theil_l_hat = 0.143841036226
+atkinson_hat = 0.133974596216
+"""
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"\xef\xbb\xbf1\n3\n",
+        b"\xef\xbb\xbfincome\n1\n3\n",
+        b"id, income\n1, 1\n2, 3\n",
+        b"id,\tincome \r\na,1\r\nb,3\r\n",
+        b"\n  \nid,income\n\n1,1\n2,3\n",
+    ],
+    ids=["bom-lines", "bom-csv", "spaced-header", "tab-spaced-header-crlf", "blank-before-header"],
+)
+def test_estimate_accepts_bom_spaced_header_and_leading_blanks(tmp_path, capsys, payload):
+    data = tmp_path / "obs.txt"
+    data.write_bytes(payload)
+    assert run_cli(capsys, "estimate", str(data)) == (0, PAIR_STDOUT, "")
+
+
+@pytest.mark.parametrize(
+    "payload, offset",
+    [(b"1.5\n\xff\xfe2\n", 4), (b"\xef\xbb\xbf1.5\n\xff\xfe2\n", 7), (b"1\n" * 50_000 + b"\xc3(", 100_000)],
+    ids=["second-line", "after-bom", "past-first-read-chunk"],
+)
+def test_estimate_non_utf8_exits_1_naming_the_byte(tmp_path, capsys, payload, offset):
+    data = tmp_path / "bad.txt"
+    data.write_bytes(payload)
+    code, out, err = run_cli(capsys, "estimate", str(data))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"gammaineq: {data}: byte {offset}: not UTF-8 text (")
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ("1.0\nfoo\n2.0\n", "line 2: could not parse observation 'foo'"),
+        ("1.0\n2.0\n-3\n", "line 3: observation must be strictly positive and finite, got -3"),
+        ("1\n\n 0 \n", "line 3: observation must be strictly positive and finite, got 0"),
+        ("inf\n", "line 1: observation must be strictly positive and finite, got inf"),
+        ("2\r\nnan\r\n", "line 2: observation must be strictly positive and finite, got nan"),
+        ("id,income\n1,2.5\n2,\n", "line 3: missing income value"),
+        ("id,income\n1,2.5\n\n2,abc\n", "line 4: could not parse observation 'abc'"),
+        ("id,region,income\n1,north\n", "line 2: missing income value"),
+        (
+            'id,note,income\n1,"two\nlines",2.5\n2,x,-1\n',
+            "line 4: observation must be strictly positive and finite, got -1",
+        ),
+    ],
+    ids=[
+        "unparseable", "negative", "zero", "inf", "nan", "missing-income", "csv-unparseable",
+        "short-row", "multiline-field",
+    ],
+)
+def test_estimate_error_messages(tmp_path, capsys, payload, message):
+    data = tmp_path / "obs.txt"
+    data.write_text(payload, newline="")
+    assert run_cli(capsys, "estimate", str(data)) == (1, "", f"gammaineq: {data}: {message}\n")
+
+
+SPACE = st.sampled_from(["", " ", "\t", "  \t"])
+VALUE_LINE = st.builds(
+    lambda before, value, after: f"{before}{value!r}{after}",
+    SPACE,
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    SPACE,
+)
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(st.one_of(VALUE_LINE, SPACE), max_size=40), ending=st.sampled_from(["\n", "\r\n"]))
+def test_read_observations_matches_float_per_line(tmp_path, lines, ending):
+    data = tmp_path / "obs.txt"
+    data.write_text("".join(line + ending for line in lines), newline="")
+    expected = [float(line) for line in lines if line.strip()]
+    if not expected:
+        with pytest.raises(DomainError, match="no observations found"):
+            cli._read_observations(str(data))
+        return
+    values = cli._read_observations(str(data))
+    assert values.dtype == np.float64
+    assert values.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+
+def test_valid_files_never_reach_the_line_by_line_scan(tmp_path, monkeypatch):
+    calls = {}
+
+    def count(name):
+        original = getattr(cli, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+
+    count("_scan_lines")
+    count("_scan_incomes")
+    valid = {
+        "lines.txt": b"\xef\xbb\xbf 1.5\r\n\r\n\t2e-3 \n1_000\n",
+        "incomes.csv": b'\xef\xbb\xbf\nid, note ,income\r\n1,"a, b",1.5\r\n\r\n2,"two\nlines",2e-3\n3,,1_000,extra\n',
+    }
+    for name, payload in valid.items():
+        data = tmp_path / name
+        data.write_bytes(payload)
+        assert cli._read_observations(str(data)).tolist() == [1.5, 2e-3, 1000.0], name
+    assert calls == {}
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"id,income\n1,2\n2,-1\n")
+    with pytest.raises(DomainError, match="line 3"):
+        cli._read_observations(str(data))
+    assert calls == {"_scan_incomes": 1}
 
 
 def test_readme_examples(tmp_path, monkeypatch, capsys):

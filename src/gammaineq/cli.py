@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 domain or data error, 2 usage error,
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import math
 import operator
@@ -42,20 +43,11 @@ from .simulation import (
     DEFAULT_NS,
     RATE_ALPHA,
     SimConfig,
+    SimSummary,
     run_grid,
 )
 
-CSV_HEADER = (
-    "alpha",
-    "n",
-    "estimator",
-    "true_value",
-    "mean_estimate",
-    "rel_bias",
-    "mse",
-    "n_effective",
-    "n_failed",
-)
+CSV_HEADER = tuple(field.name for field in dataclasses.fields(SimSummary))
 
 
 def _fmt(value):
@@ -160,19 +152,24 @@ def _scan_lines(path):
 def _scan_incomes(path):
     """A row whose fields are all blank is skipped unless it is longer than
     the header; `line_num` counts physical lines, so a quoted field that
-    spans lines does not shift the line reported."""
+    spans lines does not shift the line reported. A row the csv module
+    rejects, such as one with a field over `csv.field_size_limit()`, raises
+    DomainError naming its line."""
     with open(path, "r", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        header = next(row for row in reader if "".join(row).strip())
-        column = _income_column(header)
-        values = []
-        for row in reader:
-            if len(row) <= len(header) and not "".join(row).strip():
-                continue
-            raw = row[column] if column is not None and column < len(row) else ""
-            if not raw.strip():
-                raise DomainError(f"{path}: line {reader.line_num}: missing income value")
-            values.append(_parse_observation(raw, path, reader.line_num))
+        try:
+            header = next(row for row in reader if "".join(row).strip())
+            column = _income_column(header)
+            values = []
+            for row in reader:
+                if len(row) <= len(header) and not "".join(row).strip():
+                    continue
+                raw = row[column] if column is not None and column < len(row) else ""
+                if not raw.strip():
+                    raise DomainError(f"{path}: line {reader.line_num}: missing income value")
+                values.append(_parse_observation(raw, path, reader.line_num))
+        except csv.Error as exc:
+            raise DomainError(f"{path}: line {reader.line_num}: {exc}") from None
     return values
 
 
@@ -256,19 +253,7 @@ def write_results_csv(path, summaries):
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(CSV_HEADER)
             for row in summaries:
-                writer.writerow(
-                    (
-                        _csv_field(row.alpha),
-                        _csv_field(row.n),
-                        row.estimator,
-                        _csv_field(row.true_value),
-                        _csv_field(row.mean_estimate),
-                        _csv_field(row.rel_bias),
-                        _csv_field(row.mse),
-                        _csv_field(row.n_effective),
-                        _csv_field(row.n_failed),
-                    )
-                )
+                writer.writerow(map(_csv_field, dataclasses.astuple(row)))
         os.replace(tmp_path, path)
     except BaseException:
         try:

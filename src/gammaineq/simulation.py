@@ -232,8 +232,7 @@ def run_grid(config, workers=1):
     put back together in block order before it is aggregated."""
     if not isinstance(config, SimConfig):
         raise DomainError(f"expected a SimConfig, got {type(config).__name__}")
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise DomainError(f"workers must be a positive integer, got {workers!r}")
+    workers = _check_count(workers, "workers")
 
     cells = [
         (ai, ni, GammaParams(alpha, config.rate_for(alpha)), n)

@@ -292,10 +292,11 @@ def test_estimate_non_utf8_exits_1_naming_the_byte(tmp_path, capsys, payload, of
             'id,note,income\n1,"two\nlines",2.5\n2,x,-1\n',
             "line 4: observation must be strictly positive and finite, got -1",
         ),
+        ("income\n1\n" + "2" * 200_000 + "\n", "line 3: field larger than field limit (131072)"),
     ],
     ids=[
         "unparseable", "negative", "zero", "inf", "nan", "missing-income", "csv-unparseable",
-        "short-row", "multiline-field",
+        "short-row", "multiline-field", "over-long-field",
     ],
 )
 def test_estimate_error_messages(tmp_path, capsys, payload, message):

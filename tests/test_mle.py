@@ -15,6 +15,7 @@ from gammaineq import (
     DegenerateSampleError,
     GammaParams,
     MleResult,
+    NoConvergenceError,
     Sample,
     derive_stream,
     fit_shape,
@@ -22,6 +23,7 @@ from gammaineq import (
     sample_gamma,
     theil_l_hat,
 )
+from gammaineq.mle import _MAX_NEWTON, _fit_shapes
 
 # frozen 40-digit oracle values for the sample {1, 2, 3}
 S_1_2_3 = 0.09589402415059364  # ln 2 - (1/3) ln 6
@@ -106,8 +108,8 @@ def test_fit_converges_fully_against_brentq():
             return float(mpmath.log(a) - mpmath.digamma(a) - mpmath.mpf(s))
 
     rng = np.random.default_rng(5150)
-    checked = 0
-    while checked < 200:
+    fits = []
+    while len(fits) < 200:
         n = int(rng.integers(2, 300))
         shape = 10.0 ** rng.uniform(-1.0, 2.0)
         xs = rng.gamma(shape, size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
@@ -117,9 +119,40 @@ def test_fit_converges_fully_against_brentq():
         s = log_moment_gap(sample)
         if s < 1e-10:
             continue
+        fits.append((s, fit_shape(sample).alpha_hat))
+    # plus gaps across the whole reachable range (see the test below)
+    gaps = np.logspace(-12.0, math.log10(2000.0), 24)
+    alpha, _, _, failures = _fit_shapes(gaps, 10)
+    assert not failures
+    fits.extend(zip(gaps.tolist(), alpha.tolist()))
+    for s, got in fits:
         want = optimize.brentq(score, 1e-12, 1e12, args=(s,), xtol=1e-300, rtol=4 * np.finfo(float).eps)
-        assert fit_shape(sample).alpha_hat == pytest.approx(want, rel=1e-13, abs=0.0)
-        checked += 1
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0), s
+
+
+def test_newton_fits_every_reachable_gap():
+    # A sample's gap is at most ln(max/min): a sample that passes the row
+    # kernel's overflow check has max < 2.6e305 and min >= 5e-324, so s < 1448.
+    gaps = np.logspace(-12.0, math.log10(2000.0), 100_000)
+    alpha, residual, iterations, failures = _fit_shapes(gaps, 10)
+    assert not failures
+    assert np.isfinite(alpha).all() and (alpha > 0.0).all()
+    assert residual.max() <= 1e-10
+    assert iterations.max() <= _MAX_NEWTON
+    extreme = Sample([5e-324] * 1000 + [2.5e305])
+    assert log_moment_gap(extreme) > 1439.0
+    assert fit_shape(extreme).residual <= 1e-10
+
+
+def test_unconverged_fit_holds_nan_and_no_convergence_error():
+    # far beyond any reachable gap one ulp of s exceeds the 1e-10 residual
+    # tolerance, so Newton runs out of steps; the Monte Carlo engine masks
+    # such rows by their NaN alpha
+    alpha, residual, iterations, failures = _fit_shapes(np.array([0.5, 1e8]), 10)
+    assert np.isfinite(alpha[0]) and residual[0] <= 1e-10
+    assert np.isnan(alpha[1]) and np.isnan(residual[1])
+    assert list(failures) == [1]
+    assert isinstance(failures[1], NoConvergenceError)
 
 
 @pytest.mark.parametrize(

@@ -311,6 +311,10 @@ def test_cell_means_match_closed_form_expectations():
         (lambda: run_cell(1.5, np.int64(5), 3, 1.0, 1), run_cell(1.5, 5, 3, 1.0, 1)),
         (lambda: run_cell(1.5, 5, np.int32(3), 1.0, np.uint64(1), np.int8(0)), run_cell(1.5, 5, 3, 1.0, 1)),
         (lambda: SimConfig(ns=(np.int64(10),), n_sim=np.int64(4)).ns, (10,)),
+        (
+            lambda: run_grid(SimConfig(alphas=(1.5,), ns=(5,), n_sim=3), workers=np.int64(1)),
+            run_grid(SimConfig(alphas=(1.5,), ns=(5,), n_sim=3)),
+        ),
         (lambda: _csv_field(np.float64(1.5)), "1.5"),
         (lambda: _csv_field(np.int64(5)), "5"),
     ],

@@ -55,18 +55,14 @@ def _fmt(value):
     return format(value, "#.12g")
 
 
-def _parse_float_list(text):
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+def _list_parser(kind, what):
+    def parse(text):
+        try:
+            return tuple(kind(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
 
-
-def _parse_int_list(text):
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return parse
 
 
 def _parse_rate(text):
@@ -87,8 +83,8 @@ def _check_flag_positive(value, flag):
 def _read_observations(path):
     """Parse a UTF-8 data file (optionally with a byte-order mark): either one
     positive number per line, or CSV with an `income` column, detected from
-    the first non-blank line. Blank lines are ignored. Returns the
-    observations as a float64 array.
+    the first non-blank line read as a CSV row. Blank lines are ignored.
+    Returns the observations as a float64 array.
 
     The file is parsed in one bulk pass. Only when that pass fails, or finds
     a value that is not finite and positive, is it scanned again line by
@@ -101,10 +97,13 @@ def _read_observations(path):
             first = next(filter(str.strip, handle), None)
             if first is None:
                 raise DomainError(f"{path}: no observations found")
-            is_csv = "income" in [token.strip() for token in first.split(",")]
             lines = itertools.chain([first], handle)
+            # a first line the csv module rejects is reported by the CSV scan
+            is_csv = True
             try:
-                values = _bulk_incomes(lines) if is_csv else _bulk_lines(lines)
+                column = _income_column(next(csv.reader([first])))
+                is_csv = column is not None
+                values = _bulk_incomes(lines, column) if is_csv else _bulk_lines(lines)
             except UnicodeDecodeError:
                 raise
             except (ValueError, IndexError, csv.Error):
@@ -122,11 +121,9 @@ def _bulk_lines(lines):
     return np.fromiter(map(float, filter(str.strip, lines)), dtype=float)
 
 
-def _bulk_incomes(lines):
+def _bulk_incomes(lines, column):
     reader = csv.reader(lines)
-    column = _income_column(next(reader))
-    if column is None:
-        return None
+    next(reader)  # the header, whose `income` column is given
     # csv.reader yields [] for an empty line
     rows = filter(None, reader)
     return np.fromiter(map(float, map(operator.itemgetter(column), rows)), dtype=float)
@@ -140,13 +137,13 @@ def _income_column(header):
 
 
 def _scan_lines(path):
+    # split as the bulk pass does: at newlines only, not also at \v, \f, ...
     with open(path, "r", encoding="utf-8-sig") as handle:
-        lines = handle.read().splitlines()
-    return [
-        _parse_observation(line.strip(), path, line_num)
-        for line_num, line in enumerate(lines, start=1)
-        if line.strip()
-    ]
+        return [
+            _parse_observation(line.strip(), path, line_num)
+            for line_num, line in enumerate(handle, start=1)
+            if line.strip()
+        ]
 
 
 def _scan_incomes(path):
@@ -271,6 +268,8 @@ def cmd_simulate(args):
         rate=args.rate,
         master_seed=args.seed,
     )
+    # an --out whose directory cannot be written fails now, not after the grid
+    tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(args.out))).close()
     started = time.perf_counter()
     summaries = run_grid(config, workers=args.workers)
     elapsed = time.perf_counter() - started
@@ -314,13 +313,13 @@ def build_parser():
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo grid and write CSV")
     p_sim.add_argument(
         "--alphas",
-        type=_parse_float_list,
+        type=_list_parser(float, "numbers"),
         default=DEFAULT_ALPHAS,
         help="comma-separated shape values (default: 0.1,0.5,1.5,2.0)",
     )
     p_sim.add_argument(
         "--ns",
-        type=_parse_int_list,
+        type=_list_parser(int, "integers"),
         default=DEFAULT_NS,
         help="comma-separated sample sizes (default: 10,20,50,100,200)",
     )

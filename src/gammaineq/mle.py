@@ -1,22 +1,26 @@
-"""Maximum-likelihood fit of the gamma shape parameter.
+"""Maximum-likelihood fit of the gamma shape parameter, and the one
+estimate -> fit -> correct pass (_estimate_rows) behind every corrected
+estimate.
 
 The score equation reduces to ln(alpha) - psi(alpha) = s where s is the
 log-moment gap ln(mean) - mean(log). The left side is strictly decreasing
 from +inf to 0, so the root is unique for any s > 0.
 
-One fit function works on an array of gaps at once. A sample's gap is its
-Theil L estimate, which the row kernel (estimators._row_estimates) computes
-in the same pass as the sample's mean; the Monte Carlo engine fits a whole
-block of replications, fit_shape and estimate_all a single sample.
+The pass works on a 2-D array of samples, one per row: the row kernel gives
+the three index estimates and the mean, the fit runs on the Theil L
+estimate, which is the log-moment gap, and the closed-form biases at the
+fitted shapes are subtracted. The Monte Carlo engine runs it on a block of
+replications, fit_shape and estimate_all on one row.
 """
 
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _sample_estimates, theil_l_hat
-from .exceptions import DegenerateSampleError, NoConvergenceError
+from .exceptions import DegenerateSampleError, DomainError, NoConvergenceError
+from .model import Sample, _bias_atkinson, _bias_theil_l, _bias_theil_t
 from .special import _ln_minus_digamma, _trigamma
 
 _RESIDUAL_TOL = 1e-10
@@ -37,10 +41,49 @@ class MleResult:
     residual: float
 
 
+def _sample_rows(sample):
+    """The observations of one Sample as a 2-D array of one row."""
+    if not isinstance(sample, Sample):
+        raise DomainError(f"expected a Sample, got {type(sample).__name__}")
+    return sample.observations[np.newaxis]
+
+
+def _row_estimates(x):
+    """Theil T, Theil L and Atkinson estimates and the mean of every row of
+    the 2-D array x, one sample per row, as four arrays.
+
+    Each row is sorted and accumulated in that fixed order, so a row's
+    values do not depend on the order of its observations. Raises
+    DomainError when a row with spread has a sum of x or of x*ln(x) beyond
+    the float64 range.
+    """
+    x = np.sort(x, axis=1)
+    n = x.shape[1]
+    logs = np.log(x)
+    spread = x[:, 0] != x[:, -1]
+    # an overflowed sum is checked below; for equal rows it is harmless
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = x.sum(axis=1)
+        weighted = (x * logs).sum(axis=1)
+        overflow = spread & ~(np.isfinite(total) & np.isfinite(weighted))
+        if overflow.any():
+            raise DomainError(
+                "the sum of x or of x*ln(x) overflows float64 "
+                f"(largest observation {x[overflow, -1].max():.6g})"
+            )
+        mean = total / n
+        tt = weighted / total - np.log(total) + math.log(n)
+        tl = np.log(mean) - logs.sum(axis=1) / n
+    # exact zeros for equal rows; elsewhere clamp rounding below zero
+    tt = np.where(spread, np.maximum(tt, 0.0), 0.0)
+    tl = np.where(spread, np.maximum(tl, 0.0), 0.0)
+    return tt, tl, -np.expm1(-tl), mean
+
+
 def log_moment_gap(sample):
     """s = ln(mean(x)) - mean(ln x); the sufficient statistic of the shape
     fit. Identical to the Theil L estimate by definition."""
-    return theil_l_hat(sample)
+    return float(_row_estimates(_sample_rows(sample))[1][0])
 
 
 def _initial_shape(s):
@@ -127,6 +170,33 @@ def _fit_shapes(s, n):
     return alpha, residual, iterations, failures
 
 
+def _bias_corrected(tt, tl, at, alpha, n):
+    """The three estimates minus their closed-form biases at the fitted
+    shapes alpha, elementwise over arrays of rows of size n. Each
+    correction is positive (every bias is negative)."""
+    return (
+        tt - _bias_theil_t(alpha, n),
+        tl - _bias_theil_l(alpha, n),
+        at - _bias_atkinson(alpha, n),
+    )
+
+
+def _estimate_rows(x):
+    """The estimate -> fit -> correct pass over the 2-D array x, one sample
+    per row: the estimates (theil_t, theil_l, atkinson, mean), the fit
+    (alpha, residual, iterations, failures) as _fit_shapes gives it, and a
+    (3, rows) array of the corrected theil_t, theil_l and atkinson, NaN in
+    rows whose fit failed."""
+    n = x.shape[1]
+    tt, tl, at, mean = _row_estimates(x)
+    # the Theil L estimate is the fit's log-moment gap by definition
+    fit = _fit_shapes(tl, n)
+    ok = ~np.isnan(fit[0])
+    corrected = np.full((3, tl.size), np.nan)
+    corrected[:, ok] = _bias_corrected(tt[ok], tl[ok], at[ok], fit[0][ok], n)
+    return (tt, tl, at, mean), fit, corrected
+
+
 def fit_shape(sample):
     """Fit the gamma shape by maximum likelihood.
 
@@ -135,14 +205,13 @@ def fit_shape(sample):
     extra steps). Raises DegenerateSampleError when the sample has no
     dispersion (n < 2 or all observations equal).
     """
-    _, s, _, mean = _sample_estimates(sample)
-    alpha, residual, iterations, failures = _fit_shapes(s, sample.n)
+    estimates, (alpha, residual, iterations, failures), _ = _estimate_rows(_sample_rows(sample))
     if failures:
         raise failures[0]
     alpha_hat = float(alpha[0])
     return MleResult(
         alpha_hat=alpha_hat,
-        rate_hat=alpha_hat / float(mean[0]),
+        rate_hat=alpha_hat / float(estimates[3][0]),
         iterations=int(iterations[0]),
         residual=float(residual[0]),
     )

@@ -19,11 +19,10 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .estimators import _bias_corrected, _row_estimates
 from .exceptions import DomainError
-from .mle import _fit_shapes
+from .mle import _estimate_rows
 from .model import GammaParams, population_values, sample_gamma
-from .special import _check_count, _check_index
+from .special import _check_count, _check_index, _check_positive
 
 ESTIMATOR_IDS = (
     "theil_t",
@@ -73,7 +72,7 @@ class SimConfig:
     master_seed: int = DEFAULT_MASTER_SEED
 
     def __post_init__(self):
-        alphas = tuple(float(a) for a in self.alphas)
+        alphas = tuple(_check_positive(a, "alpha") for a in self.alphas)
         if not alphas:
             raise DomainError("alphas must be nonempty")
         if len(set(alphas)) != len(alphas):
@@ -158,12 +157,9 @@ def _run_block(params, n, rows, master_seed, alpha_index, n_index, block):
     corrected ones the rows whose shape fit succeeded."""
     stream = derive_stream(master_seed, alpha_index, n_index, block)
     x = sample_gamma(params, rows * n, stream).observations.reshape(rows, n)
-    tt, tl, at, _ = _row_estimates(x)
-    # the Theil L estimate is the fit's log-moment gap by definition; rows
-    # without dispersion (every row when n = 1) get no fitted shape
-    alpha_hat, _, _, _ = _fit_shapes(tl, n)
-    ok = ~np.isnan(alpha_hat)
-    tt_corr, tl_corr, at_corr = _bias_corrected(tt[ok], tl[ok], at[ok], alpha_hat[ok], n)
+    (tt, tl, at, _), (alpha_hat, _, _, _), corrected = _estimate_rows(x)
+    # rows without dispersion (every row when n = 1) get no fitted shape
+    tt_corr, tl_corr, at_corr = corrected[:, ~np.isnan(alpha_hat)]
     return tt, tt_corr, tl, tl_corr, at, at_corr
 
 

@@ -255,8 +255,12 @@ atkinson_hat = 0.133974596216
         b"id, income\n1, 1\n2, 3\n",
         b"id,\tincome \r\na,1\r\nb,3\r\n",
         b"\n  \nid,income\n\n1,1\n2,3\n",
+        b'"income",id\n1,a\n3,b\n',
     ],
-    ids=["bom-lines", "bom-csv", "spaced-header", "tab-spaced-header-crlf", "blank-before-header"],
+    ids=[
+        "bom-lines", "bom-csv", "spaced-header", "tab-spaced-header-crlf", "blank-before-header",
+        "quoted-header",
+    ],
 )
 def test_estimate_accepts_bom_spaced_header_and_leading_blanks(tmp_path, capsys, payload):
     data = tmp_path / "obs.txt"
@@ -293,10 +297,13 @@ def test_estimate_non_utf8_exits_1_naming_the_byte(tmp_path, capsys, payload, of
             "line 4: observation must be strictly positive and finite, got -1",
         ),
         ("income\n1\n" + "2" * 200_000 + "\n", "line 3: field larger than field limit (131072)"),
+        # str.splitlines would also split at \f and \v; the file's lines end at newlines
+        ("1\n\x0c\nabc\n", "line 3: could not parse observation 'abc'"),
+        ("1\n2\x0b3\n", "line 2: could not parse observation '2\\x0b3'"),
     ],
     ids=[
         "unparseable", "negative", "zero", "inf", "nan", "missing-income", "csv-unparseable",
-        "short-row", "multiline-field", "over-long-field",
+        "short-row", "multiline-field", "over-long-field", "form-feed-line", "vertical-tab",
     ],
 )
 def test_estimate_error_messages(tmp_path, capsys, payload, message):
@@ -447,13 +454,22 @@ def test_simulate_overflowing_sums_exit_1(tmp_path, capsys):
     assert not out_path.exists()
 
 
-def test_simulate_unwritable_path_exits_1(capsys):
-    code, _, err = run_cli(
-        capsys, "simulate", "--alphas", "1.5", "--ns", "2", "--nsim", "2",
-        "--out", "/no-such-directory-zz/results.csv",
-    )
-    assert code == 1
-    assert "gammaineq:" in err
+def test_simulate_unwritable_path_exits_1(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(config, workers=1):
+        calls.append(config)
+        return []
+
+    # the missing directory is reported before the grid runs, not after
+    monkeypatch.setattr(cli, "run_grid", counted)
+    code, out, err = run_cli(capsys, "simulate", "--out", str(tmp_path / "missing" / "x.csv"))
+    assert (code, out, len(calls)) == (1, "", 0)
+    assert err.startswith("gammaineq: ")
+    # a writable --out runs the grid once and leaves only the results behind
+    assert run_cli(capsys, "simulate", "--out", str(tmp_path / "x.csv"))[0] == 0
+    assert len(calls) == 1
+    assert [path.name for path in tmp_path.iterdir()] == ["x.csv"]
 
 
 def test_module_entry_point():

@@ -1,8 +1,12 @@
 """Sample estimators: frozen worked examples, algebraic invariants under
-permutation and rescaling, the bias correction, and the one-pass
-estimate -> fit -> correct path of estimate_all."""
+permutation and rescaling, the bias correction, the one-pass
+estimate -> fit -> correct path of estimate_all, fit_shape and the engine,
+and the package's import graph."""
 
+import ast
+import graphlib
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import pinned_gamma_sample
+import gammaineq
 from gammaineq import (
     CorrectionUnavailableError,
     DomainError,
@@ -22,12 +27,13 @@ from gammaineq import (
     bias_theil_t,
     derive_stream,
     estimate_all,
+    fit_shape,
     sample_gamma,
     theil_l_hat,
     theil_t_hat,
 )
-from gammaineq import estimators, mle
-from gammaineq.estimators import _bias_corrected, _sample_estimates
+from gammaineq import mle, simulation
+from gammaineq.mle import _bias_corrected, _row_estimates, _sample_rows
 
 # frozen 40-digit oracle values for the sample {1, 3}
 TT_1_3 = 0.13081203594113696  # ln 2 - (3/4) ln 3 + (3/2) ln 3 - ... collapsed form
@@ -42,7 +48,7 @@ AT_CORR_1_3 = 0.35791327604612449
 def corrected(sample, alpha_hat):
     """The three corrected estimates of sample at the shape alpha_hat, from
     the correction function that estimate_all and the engine share."""
-    tt, tl, at, _ = _sample_estimates(sample)
+    tt, tl, at, _ = _row_estimates(_sample_rows(sample))
     return [float(v[0]) for v in _bias_corrected(tt, tl, at, np.array([alpha_hat]), sample.n)]
 
 
@@ -205,6 +211,7 @@ def test_estimate_all_report_pinned(make_sample, expected):
 
 
 def test_estimate_all_runs_kernel_and_solver_once(monkeypatch):
+    # estimate_all, fit_shape and the engine's block each make one pass
     calls = {}
 
     def count(module, name):
@@ -216,12 +223,17 @@ def test_estimate_all_runs_kernel_and_solver_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(estimators, "_row_estimates")
+    count(mle, "_row_estimates")
     count(mle, "_fit_shapes")
     count(mle, "_newton")
-    report = estimate_all(pinned_gamma_sample(), apply_correction=True)
-    assert report.alpha_hat is not None
-    assert calls == {"_row_estimates": 1, "_fit_shapes": 1, "_newton": 1}
+    for run in (
+        lambda: estimate_all(pinned_gamma_sample(), apply_correction=True).alpha_hat,
+        lambda: fit_shape(pinned_gamma_sample()).alpha_hat,
+        lambda: simulation._run_block(GammaParams(1.5), 10, 50, 42, 0, 0, 0)[1].size,
+    ):
+        calls.clear()
+        assert run()
+        assert calls == {"_row_estimates": 1, "_fit_shapes": 1, "_newton": 1}
 
 
 def test_estimate_all_single_observation_raises_with_report():
@@ -247,3 +259,22 @@ def test_estimate_all_near_degenerate_carries_note():
     assert report.alpha_hat > 1e6
     assert report.notes
     assert "near-degenerate" in report.notes[0]
+
+
+def test_package_imports_sit_at_module_level_and_form_a_dag():
+    package = pathlib.Path(gammaineq.__file__).parent
+    graph = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                inner = [n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))]
+                assert not inner, f"{path.name}: import inside a function at line {inner[0].lineno}"
+        graph[path.stem] = {
+            name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for name in ([node.module.split(".")[0]] if node.module else [a.name for a in node.names])
+        }
+    assert "estimators" not in graph["mle"]
+    tuple(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle

@@ -248,6 +248,10 @@ def test_config_validation():
         SimConfig(alphas=(1.0, 1.0))
     with pytest.raises(DomainError):
         SimConfig(alphas=(1.0, 1e6))  # smallest true index below 1e-6
+    with pytest.raises(DomainError, match="alpha"):
+        SimConfig(alphas=(True,))
+    with pytest.raises(DomainError, match="alpha"):
+        SimConfig(alphas=("x",))
     with pytest.raises(DomainError):
         SimConfig(ns=())
     with pytest.raises(DomainError):
@@ -317,6 +321,7 @@ def test_cell_means_match_closed_form_expectations():
         ),
         (lambda: _csv_field(np.float64(1.5)), "1.5"),
         (lambda: _csv_field(np.int64(5)), "5"),
+        (lambda: SimConfig(alphas=(np.float32(1.5),)).alphas, (1.5,)),
     ],
 )
 def test_numpy_scalar_arguments(call, expected):

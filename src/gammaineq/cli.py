@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 domain or data error, 2 usage error,
 import argparse
 import csv
 import dataclasses
+import errno
 import itertools
 import math
 import operator
@@ -268,7 +269,10 @@ def cmd_simulate(args):
         rate=args.rate,
         master_seed=args.seed,
     )
-    # an --out whose directory cannot be written fails now, not after the grid
+    # an --out that is a directory, or whose directory cannot be written,
+    # fails now, not after the grid
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(args.out))).close()
     started = time.perf_counter()
     summaries = run_grid(config, workers=args.workers)

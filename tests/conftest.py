@@ -4,6 +4,7 @@ whose outputs are pinned."""
 import math
 
 import hypothesis
+import numpy as np
 
 from gammaineq import GammaParams, derive_stream, sample_gamma
 
@@ -22,6 +23,23 @@ def se_from_summary(row):
     if variance < 0.0:
         variance = 0.0
     return math.sqrt(variance / row.n_effective)
+
+
+def numpy_build_note():
+    """The numpy version and the SIMD targets of its float64 log, exp and
+    power, for the message of a test that pins output bits: those bits
+    hold only on one machine class with one numpy build."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy < 2
+        return f"numpy {np.__version__}"
+    info = opt_func_info(func_name="^(log|exp|power)$", signature="^d")
+    targets = ", ".join(
+        f"{name}/{signature} {target['current']}"
+        for name, signatures in sorted(info.items())
+        for signature, target in signatures.items()
+    )
+    return f"numpy {np.__version__}; float64 SIMD targets: {targets}"
 
 
 def pinned_gamma_sample():

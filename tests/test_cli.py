@@ -3,6 +3,7 @@ byte-stable CSV export."""
 
 import csv
 import hashlib
+import os
 import pathlib
 import re
 import shlex
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import pinned_gamma_sample
+from conftest import numpy_build_note, pinned_gamma_sample
 from gammaineq import DomainError, SimConfig, cli, run_grid
 from gammaineq.cli import CSV_HEADER, main
 
@@ -180,7 +181,7 @@ atkinson_corrected = 0.308292659328
 def test_estimate_correct_stdout_pinned(tmp_path, capsys, values, expected):
     data = tmp_path / "obs.txt"
     data.write_text("".join(f"{value!r}\n" for value in values()))
-    assert run_cli(capsys, "estimate", str(data), "--correct") == (0, expected, "")
+    assert run_cli(capsys, "estimate", str(data), "--correct") == (0, expected, ""), numpy_build_note()
 
 
 def test_estimate_correction_unavailable_exits_3(tmp_path, capsys):
@@ -430,7 +431,8 @@ def test_simulate_default_grid_sha256_pinned(tmp_path, capsys, workers):
     out_path = tmp_path / "grid.csv"
     code, _, _ = run_cli(capsys, "simulate", "--seed", "42", "--workers", workers, "--out", str(out_path))
     assert code == 0
-    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == DEFAULT_GRID_SHA256
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == DEFAULT_GRID_SHA256, numpy_build_note()
 
 
 def test_simulate_rejects_bad_grid(tmp_path, capsys):
@@ -466,6 +468,10 @@ def test_simulate_unwritable_path_exits_1(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "simulate", "--out", str(tmp_path / "missing" / "x.csv"))
     assert (code, out, len(calls)) == (1, "", 0)
     assert err.startswith("gammaineq: ")
+    # so is an --out that names an existing directory, by its own path
+    code, out, err = run_cli(capsys, "simulate", "--out", str(tmp_path))
+    assert (code, out, len(calls)) == (1, "", 0)
+    assert err == f"gammaineq: [Errno 21] Is a directory: '{tmp_path}'\n"
     # a writable --out runs the grid once and leaves only the results behind
     assert run_cli(capsys, "simulate", "--out", str(tmp_path / "x.csv"))[0] == 0
     assert len(calls) == 1
@@ -473,11 +479,16 @@ def test_simulate_unwritable_path_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    # the child finds the package where this process imported it from, so
+    # the test also runs from a checkout where the package is not installed
+    package_root = str(pathlib.Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "gammaineq", "population", "--alpha", "1.0"],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "theil_t = 0.422784335098" in result.stdout

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import pinned_gamma_sample
+from conftest import numpy_build_note, pinned_gamma_sample
 import gammaineq
 from gammaineq import (
     CorrectionUnavailableError,
@@ -207,7 +207,7 @@ def test_estimate_all_with_correction_smoke():
     ],
 )
 def test_estimate_all_report_pinned(make_sample, expected):
-    assert estimate_all(make_sample(), apply_correction=True) == expected
+    assert estimate_all(make_sample(), apply_correction=True) == expected, numpy_build_note()
 
 
 def test_estimate_all_runs_kernel_and_solver_once(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from scipy import optimize
 from scipy import special as sps
 
-from conftest import pinned_gamma_sample
+from conftest import numpy_build_note, pinned_gamma_sample
 from gammaineq import (
     DegenerateSampleError,
     GammaParams,
@@ -55,7 +55,7 @@ def oracle_shape(s):
     ],
 )
 def test_fit_shape_pinned(make_sample, expected):
-    assert fit_shape(make_sample()) == expected
+    assert fit_shape(make_sample()) == expected, numpy_build_note()
 
 
 def test_log_moment_gap_frozen_example():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import se_from_summary
+from conftest import numpy_build_note, se_from_summary
 from gammaineq import (
     ESTIMATOR_IDS,
     RATE_ALPHA,
@@ -179,7 +179,9 @@ def test_run_cell_pinned_means():
     # any change to the stream model or the engine's arithmetic shows here
     rows = run_cell(1.5, 10, 200, 1.0, 42)
     means = [row.mean_estimate for row in rows]
-    assert means == pytest.approx(PINNED_MEANS_15_10_200_SEED42, rel=1e-12, abs=0.0)
+    assert means == pytest.approx(
+        PINNED_MEANS_15_10_200_SEED42, rel=1e-12, abs=0.0
+    ), numpy_build_note()
 
 
 def test_run_cell_single_observation_cells():

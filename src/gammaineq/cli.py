@@ -252,6 +252,10 @@ def write_results_csv(path, summaries):
             writer.writerow(CSV_HEADER)
             for row in summaries:
                 writer.writerow(map(_csv_field, dataclasses.astuple(row)))
+        # mkstemp creates the file 0600; give it the mode open(path, "w") would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException:
         try:

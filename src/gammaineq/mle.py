@@ -6,11 +6,13 @@ The score equation reduces to ln(alpha) - psi(alpha) = s where s is the
 log-moment gap ln(mean) - mean(log). The left side is strictly decreasing
 from +inf to 0, so the root is unique for any s > 0.
 
-The pass works on a 2-D array of samples, one per row: the row kernel gives
-the three index estimates and the mean, the fit runs on the Theil L
-estimate, which is the log-moment gap, and the closed-form biases at the
-fitted shapes are subtracted. The Monte Carlo engine runs it on a block of
-replications, fit_shape and estimate_all on one row.
+The pass works on a 2-D array of samples, one per row, in two halves: the
+row kernel (_row_estimates) gives the three index estimates and the mean;
+then _fit_and_correct fits the shape on the Theil L estimate, which is the
+log-moment gap, and subtracts the closed-form biases at the fitted shapes.
+fit_shape and estimate_all run both halves on one row. The Monte Carlo
+engine runs the row kernel on each block of replications and the second
+half once over the rows of the whole grid, with one sample size per row.
 """
 
 import math
@@ -137,11 +139,12 @@ def _newton(s):
 
 def _fit_shapes(s, n):
     """Maximum-likelihood shapes for the 1-D array s of log-moment gaps of
-    samples of size n, all fitted by one vectorised Newton iteration.
+    samples of size n (an int, or an array with one size per entry), all
+    fitted by one vectorised Newton iteration.
 
     Returns alpha, residual and iteration arrays and a dict that maps the
     index of each entry whose fit failed to its error; failed entries hold
-    NaN. An entry is degenerate (DegenerateSampleError) when n < 2 or
+    NaN. An entry is degenerate (DegenerateSampleError) when its n < 2 or
     s < 1e-12; otherwise it fails (NoConvergenceError) only if Newton does
     not converge, which no gap of a finite positive sample (s < 1448)
     reaches.
@@ -149,16 +152,17 @@ def _fit_shapes(s, n):
     alpha = np.full(s.shape, np.nan)
     residual = np.full(s.shape, np.nan)
     iterations = np.zeros(s.shape, dtype=np.int64)
-    degenerate = (s < _DEGENERATE_S) | (n < 2)
+    too_few = np.broadcast_to(n < 2, s.shape)
+    equal = (s < _DEGENERATE_S) & ~too_few
     failures = {}
-    if degenerate.any():
-        exc = DegenerateSampleError(
-            "shape fit needs at least two observations"
-            if n < 2
-            else "all observations are (numerically) equal; the fitted shape diverges"
-        )
-        failures = dict.fromkeys(np.flatnonzero(degenerate).tolist(), exc)
-    fit = np.flatnonzero(~degenerate)
+    for degenerate, message in (
+        (too_few, "shape fit needs at least two observations"),
+        (equal, "all observations are (numerically) equal; the fitted shape diverges"),
+    ):
+        if degenerate.any():
+            exc = DegenerateSampleError(message)
+            failures.update(dict.fromkeys(np.flatnonzero(degenerate).tolist(), exc))
+    fit = np.flatnonzero(~(too_few | equal))
     alpha[fit], residual[fit], iterations[fit], converged = _newton(s[fit])
     unconverged = fit[~converged]
     if unconverged.size:
@@ -181,20 +185,29 @@ def _bias_corrected(tt, tl, at, alpha, n):
     )
 
 
-def _estimate_rows(x):
-    """The estimate -> fit -> correct pass over the 2-D array x, one sample
-    per row: the estimates (theil_t, theil_l, atkinson, mean), the fit
-    (alpha, residual, iterations, failures) as _fit_shapes gives it, and a
-    (3, rows) array of the corrected theil_t, theil_l and atkinson, NaN in
-    rows whose fit failed."""
-    n = x.shape[1]
-    tt, tl, at, mean = _row_estimates(x)
+def _fit_and_correct(tt, tl, at, n):
+    """The fit -> correct half of the pass, over 1-D arrays of the row
+    kernel's Theil T, Theil L and Atkinson estimates of samples of size n
+    (an int, or an array with one size per row): the fit (alpha, residual,
+    iterations, failures) as _fit_shapes gives it, and a (3, rows) array of
+    the corrected theil_t, theil_l and atkinson, NaN in rows whose fit
+    failed. Every row is fitted and corrected on its own, so a row's values
+    do not depend on the other rows it is passed with."""
     # the Theil L estimate is the fit's log-moment gap by definition
     fit = _fit_shapes(tl, n)
     ok = ~np.isnan(fit[0])
     corrected = np.full((3, tl.size), np.nan)
-    corrected[:, ok] = _bias_corrected(tt[ok], tl[ok], at[ok], fit[0][ok], n)
-    return (tt, tl, at, mean), fit, corrected
+    n_ok = n[ok] if np.ndim(n) else n
+    corrected[:, ok] = _bias_corrected(tt[ok], tl[ok], at[ok], fit[0][ok], n_ok)
+    return fit, corrected
+
+
+def _estimate_rows(x):
+    """The estimate -> fit -> correct pass over the 2-D array x, one sample
+    per row: the estimates (theil_t, theil_l, atkinson, mean), then the fit
+    and the corrected values as _fit_and_correct gives them."""
+    estimates = _row_estimates(x)
+    return (estimates, *_fit_and_correct(*estimates[:3], x.shape[1]))
 
 
 def fit_shape(sample):

@@ -96,10 +96,18 @@ class Sample:
         return hash((self.observations.size, self.observations.tobytes()))
 
 
+def _theil_t(a):
+    # psi(a) + 1/a - ln a. From a = 1 up it is 1/a - (ln a - psi(a)): psi(a)
+    # and ln a both grow like ln a and would cancel every digit at large a.
+    # Below 1 neither form is more accurate than the compensated sum.
+    if a >= 1.0:
+        return 1.0 / a - float(_ln_minus_digamma(a))
+    return math.fsum((digamma(a), 1.0 / a, -math.log(a)))
+
+
 def theil_t_population(params):
     """Population Theil T index: psi(shape) + 1/shape - ln(shape)."""
-    a = params.shape
-    return math.fsum((digamma(a), 1.0 / a, -math.log(a)))
+    return _theil_t(params.shape)
 
 
 def theil_l_population(params):
@@ -130,18 +138,17 @@ def _scaled_shape(params, n):
 
 def expected_theil_t(params, n):
     """Exact mean of the Theil T estimator over samples of size n:
-    psi(a) + 1/a + ln n - 1/(na) - psi(na)."""
-    a = params.shape
-    x = _scaled_shape(params, n)
-    return math.fsum((digamma(a), 1.0 / a, math.log(n), -1.0 / x, -digamma(x)))
+    psi(a) + 1/a + ln n - 1/(na) - psi(na), evaluated as the population
+    Theil T at a minus the one at na, which never subtracts two O(ln a)
+    terms and is exactly 0 at n = 1."""
+    return _theil_t(params.shape) - _theil_t(_scaled_shape(params, n))
 
 
 def expected_theil_l(params, n):
     """Exact mean of the Theil L estimator over samples of size n:
-    psi(na) - ln n - psi(a)."""
-    a = params.shape
-    x = _scaled_shape(params, n)
-    return math.fsum((digamma(x), -math.log(n), -digamma(a)))
+    psi(na) - ln n - psi(a), evaluated as (ln a - psi(a)) - (ln na - psi(na)),
+    which never subtracts two O(ln a) terms and is exactly 0 at n = 1."""
+    return float(_ln_minus_digamma(params.shape) - _ln_minus_digamma(_scaled_shape(params, n)))
 
 
 def expected_atkinson(params, n):

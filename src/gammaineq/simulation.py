@@ -9,8 +9,9 @@ hashing (master_seed, alpha_index, n_index, b), and draws all its rows*n
 observations with one sample_gamma call; reshaped row-major to (rows, n),
 row r is replication b*R + r. Results are therefore a pure function of the
 config no matter how the (cell, block) tasks are scheduled. Each block is
-estimated, fitted and bias-corrected as arrays; aggregation reduces in
-replication order with exact compensated summation.
+sampled and estimated as arrays; the shape fit and bias correction then run
+once over the rows of all cells, put back in task order, and aggregation
+reduces each cell in replication order with exact compensated summation.
 """
 
 import math
@@ -20,7 +21,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .mle import _estimate_rows
+from .mle import _fit_and_correct, _row_estimates
 from .model import GammaParams, population_values, sample_gamma
 from .special import _check_count, _check_index, _check_positive
 
@@ -49,6 +50,8 @@ _MASK64 = (1 << 64) - 1
 
 
 # Observations drawn per block; a block holds max(1, this // n) replications.
+# Also the most rows one _fit_and_correct call takes, which bounds Newton's
+# temporaries at any n_sim.
 _BLOCK_VARIATES = 2**16
 
 
@@ -152,15 +155,45 @@ def _blocks(n, n_sim):
 
 
 def _run_block(params, n, rows, master_seed, alpha_index, n_index, block):
-    """Per-replication values of one block, one array per estimator in
-    ESTIMATOR_IDS order: the uncorrected arrays hold every row, the
-    corrected ones the rows whose shape fit succeeded."""
+    """Theil T, Theil L and Atkinson estimates of every replication of one
+    block, as three arrays in replication order."""
     stream = derive_stream(master_seed, alpha_index, n_index, block)
     x = sample_gamma(params, rows * n, stream).observations.reshape(rows, n)
-    (tt, tl, at, _), (alpha_hat, _, _, _), corrected = _estimate_rows(x)
-    # rows without dispersion (every row when n = 1) get no fitted shape
-    tt_corr, tl_corr, at_corr = corrected[:, ~np.isnan(alpha_hat)]
-    return tt, tt_corr, tl, tl_corr, at, at_corr
+    return _row_estimates(x)[:3]
+
+
+def _cell_values(ns, n_sim, results):
+    """Per-replication values of every cell, from the _run_block results of
+    all cells in task order: cell by cell (ns gives each cell's sample
+    size), each in block order. Yields, per cell, one array per estimator
+    in ESTIMATOR_IDS order: the uncorrected arrays hold every replication,
+    the corrected ones those whose shape fit succeeded.
+
+    The shape fit and bias correction run over the rows of all cells at
+    once, in chunks of at most _BLOCK_VARIATES rows; each row's values do
+    not depend on the chunk it falls in."""
+    tt, tl, at = (np.concatenate(column) for column in zip(*results))
+    n = np.repeat(ns, n_sim)
+    fitted, corrected = [], []
+    for start in range(0, n.size, _BLOCK_VARIATES):
+        chunk = slice(start, start + _BLOCK_VARIATES)
+        (alpha_hat, _, _, _), values = _fit_and_correct(tt[chunk], tl[chunk], at[chunk], n[chunk])
+        # rows without dispersion (every row when n = 1) get no fitted shape
+        fitted.append(~np.isnan(alpha_hat))
+        corrected.append(values)
+    fitted = np.concatenate(fitted)
+    tt_corr, tl_corr, at_corr = np.concatenate(corrected, axis=1)
+    for start in range(0, n.size, n_sim):
+        cell = slice(start, start + n_sim)
+        ok = fitted[cell]
+        yield (
+            tt[cell],
+            tt_corr[cell][ok],
+            tl[cell],
+            tl_corr[cell][ok],
+            at[cell],
+            at_corr[cell][ok],
+        )
 
 
 def _aggregate(alpha, n, estimator, true_value, values, n_sim):
@@ -185,8 +218,8 @@ def _aggregate(alpha, n, estimator, true_value, values, n_sim):
     )
 
 
-def _summarize(params, n, n_sim, blocks):
-    """The six summaries of one cell from its block results in block order."""
+def _summarize(params, n, n_sim, values):
+    """The six summaries of one cell from its _cell_values arrays."""
     trues = population_values(params)
     return [
         _aggregate(
@@ -194,10 +227,10 @@ def _summarize(params, n, n_sim, blocks):
             n,
             key,
             getattr(trues, key.removesuffix("_corr")),
-            np.concatenate([block[column] for block in blocks]),
+            column,
             n_sim,
         )
-        for column, key in enumerate(ESTIMATOR_IDS)
+        for column, key in zip(values, ESTIMATOR_IDS)
     ]
 
 
@@ -214,18 +247,20 @@ def run_cell(alpha, n, n_sim, rate, master_seed, alpha_index=0, n_index=0):
     master_seed = _check_seed(master_seed)
     alpha_index = _check_index(alpha_index, "alpha_index")
     n_index = _check_index(n_index, "n_index")
-    blocks = [
+    results = [
         _run_block(params, n, rows, master_seed, alpha_index, n_index, b)
         for b, rows in _blocks(n, n_sim)
     ]
-    return _summarize(params, n, n_sim, blocks)
+    (values,) = _cell_values([n], n_sim, results)
+    return _summarize(params, n, n_sim, values)
 
 
 def run_grid(config, workers=1):
     """Run the full grid and return summaries ordered by (alpha ascending,
     n ascending, fixed estimator order). Output is identical for any
-    worker count: the pool runs (cell, block) tasks, and each cell is
-    put back together in block order before it is aggregated."""
+    worker count: the pool samples and estimates (cell, block) tasks, the
+    results are put back in task order, and the shape fit and bias
+    correction run once over all of them before each cell is aggregated."""
     if not isinstance(config, SimConfig):
         raise DomainError(f"expected a SimConfig, got {type(config).__name__}")
     workers = _check_count(workers, "workers")
@@ -246,10 +281,8 @@ def run_grid(config, workers=1):
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_run_block, *zip(*tasks)))
 
-    by_cell = {}
-    for (_, _, _, _, ai, ni, _), result in zip(tasks, results):
-        by_cell.setdefault((ai, ni), []).append(result)
     ordered = []
-    for ai, ni, params, n in cells:
-        ordered.extend(_summarize(params, n, config.n_sim, by_cell[(ai, ni)]))
+    values = _cell_values([n for _, _, _, n in cells], config.n_sim, results)
+    for (_, _, params, n), cell in zip(cells, values):
+        ordered.extend(_summarize(params, n, config.n_sim, cell))
     return ordered

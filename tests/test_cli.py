@@ -7,6 +7,7 @@ import os
 import pathlib
 import re
 import shlex
+import stat
 import subprocess
 import sys
 
@@ -379,6 +380,21 @@ def test_readme_examples(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for command, args, expected in examples:
         assert run_cli(capsys, command, *shlex.split(args)) == (0, expected, ""), command
+    # the engine's example, continuation lines included; its --out lands in
+    # tmp_path, and its CSV must equal a one-worker run byte for byte
+    (args,) = re.findall(
+        r"^\$ gammaineq simulate ((?:[^\n]*\\\n)*[^\n]*)\n",
+        README.read_text(encoding="utf-8"),
+        re.M,
+    )
+    argv = shlex.split(args.replace("\\\n", " "))
+    assert argv[argv.index("--workers") + 1] == "4"
+    assert argv[argv.index("--out") + 1] == "results.csv"
+    assert run_cli(capsys, "simulate", *argv)[:2] == (0, "")
+    argv[argv.index("--workers") + 1] = "1"
+    argv[argv.index("--out") + 1] = "serial.csv"
+    assert run_cli(capsys, "simulate", *argv)[:2] == (0, "")
+    assert (tmp_path / "results.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 SIM_FLAGS = ("--alphas", "0.5,2.0", "--ns", "2,4", "--nsim", "6", "--seed", "5")
@@ -419,6 +435,18 @@ def test_simulate_output_is_byte_stable(tmp_path, capsys):
     payload = first.read_bytes()
     assert payload == second.read_bytes()
     assert payload == parallel.read_bytes()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o002])
+def test_simulate_csv_mode_follows_umask(tmp_path, capsys, umask):
+    # the CSV gets the mode open(out, "w") would give it, not mkstemp's 0600
+    out_path = tmp_path / "results.csv"
+    previous = os.umask(umask)
+    try:
+        assert run_cli(capsys, "simulate", *SIM_FLAGS, "--out", str(out_path))[0] == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(os.stat(out_path).st_mode) == 0o666 & ~umask
 
 
 # sha256 of the default `simulate --seed 42` CSV: any change to the stream

@@ -211,7 +211,8 @@ def test_estimate_all_report_pinned(make_sample, expected):
 
 
 def test_estimate_all_runs_kernel_and_solver_once(monkeypatch):
-    # estimate_all, fit_shape and the engine's block each make one pass
+    # estimate_all and fit_shape each make one pass; a grid runs the row
+    # kernel once per block and the fit once over all of its rows
     calls = {}
 
     def count(module, name):
@@ -224,16 +225,18 @@ def test_estimate_all_runs_kernel_and_solver_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(mle, "_row_estimates")
+    count(simulation, "_row_estimates")
     count(mle, "_fit_shapes")
     count(mle, "_newton")
-    for run in (
-        lambda: estimate_all(pinned_gamma_sample(), apply_correction=True).alpha_hat,
-        lambda: fit_shape(pinned_gamma_sample()).alpha_hat,
-        lambda: simulation._run_block(GammaParams(1.5), 10, 50, 42, 0, 0, 0)[1].size,
+    for run, blocks in (
+        (lambda: estimate_all(pinned_gamma_sample(), apply_correction=True).alpha_hat, 1),
+        (lambda: fit_shape(pinned_gamma_sample()).alpha_hat, 1),
+        # n = 10 is one block of 7 replications, n = 20000 three (3, 3, 1)
+        (lambda: simulation.run_grid(simulation.SimConfig(alphas=(1.5,), ns=(10, 20_000), n_sim=7)), 4),
     ):
         calls.clear()
         assert run()
-        assert calls == {"_row_estimates": 1, "_fit_shapes": 1, "_newton": 1}
+        assert calls == {"_row_estimates": blocks, "_fit_shapes": 1, "_newton": 1}
 
 
 def test_estimate_all_single_observation_raises_with_report():

@@ -1,12 +1,15 @@
 """Gamma shape fitting: frozen examples, an independent bisection oracle
 built on scipy's digamma, a brentq oracle on a 30-digit score for full
-convergence, degeneracy handling, and invariances."""
+convergence, degeneracy handling, invariances, and the batched fit and
+correction that give every row the same bits in any batch."""
 
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import optimize
 from scipy import special as sps
 
@@ -23,7 +26,7 @@ from gammaineq import (
     sample_gamma,
     theil_l_hat,
 )
-from gammaineq.mle import _MAX_NEWTON, _fit_shapes
+from gammaineq.mle import _MAX_NEWTON, _fit_and_correct, _fit_shapes, _row_estimates
 
 # frozen 40-digit oracle values for the sample {1, 2, 3}
 S_1_2_3 = 0.09589402415059364  # ln 2 - (1/3) ln 6
@@ -198,3 +201,52 @@ def test_fit_consistency_large_sample():
     result = fit_shape(sample)
     assert 1.95 <= result.alpha_hat <= 2.05
     assert result.residual <= 1e-10
+
+
+def same_bits(a, b):
+    """a and b hold NaN in the same places and the same bits elsewhere."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(
+        a[~nan].view(np.int64), b[~nan].view(np.int64)
+    )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.lists(
+        st.tuples(st.sampled_from((1, 2, 10, 200)), st.booleans()), min_size=1, max_size=30
+    ),
+    cuts=st.lists(st.integers(0, 30), max_size=4),
+)
+def test_fit_and_correct_is_the_same_in_any_batch(seed, rows, cuts):
+    # the engine fits the rows of a whole grid at once, with one sample size
+    # per row; every row must come out as it does on its own
+    rng = np.random.default_rng(seed)
+    estimates = []
+    for n, equal in rows:
+        x = np.full(n, 2.5) if equal else rng.gamma(10.0 ** rng.uniform(-1.0, 2.0), size=n) + 1e-300
+        estimates.append(_row_estimates(x[np.newaxis])[:3])
+    tt, tl, at = (np.concatenate(column) for column in zip(*estimates))
+    n = np.array([n for n, _ in rows])
+    (alpha, residual, iterations, failures), corrected = _fit_and_correct(tt, tl, at, n)
+
+    parts = []
+    bounds = [0, *sorted(min(cut, n.size) for cut in cuts), n.size]
+    for start, stop in zip(bounds, bounds[1:]):
+        part_n = n[start:stop]
+        # a set of one sample size goes in with a scalar n, as estimate_all passes it
+        if part_n.size and (part_n == part_n[0]).all():
+            part_n = int(part_n[0])
+        part = slice(start, stop)
+        parts.append((start, _fit_and_correct(tt[part], tl[part], at[part], part_n)))
+    assert same_bits(alpha, np.concatenate([fit[0] for _, (fit, _) in parts]))
+    assert same_bits(residual, np.concatenate([fit[1] for _, (fit, _) in parts]))
+    assert np.array_equal(iterations, np.concatenate([fit[2] for _, (fit, _) in parts]))
+    assert same_bits(corrected, np.concatenate([values for _, (_, values) in parts], axis=1))
+    joined = {start + i: exc for start, (fit, _) in parts for i, exc in fit[3].items()}
+    assert sorted(joined) == sorted(failures)
+    for i, exc in failures.items():
+        assert (type(exc), str(exc)) == (type(joined[i]), str(joined[i]))
+        # a row of one observation is degenerate for that reason alone
+        assert ("two observations" in str(exc)) == (n[i] < 2)
+    assert np.isnan(alpha).sum() == len(failures)

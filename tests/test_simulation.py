@@ -35,7 +35,7 @@ from gammaineq import (
     theil_t_population,
 )
 from gammaineq.cli import _csv_field
-from gammaineq.simulation import _run_block
+from gammaineq.simulation import _cell_values, _run_block
 
 # run_cell(1.5, 10, 200, 1.0, 42) means in ESTIMATOR_IDS order
 PINNED_MEANS_15_10_200_SEED42 = (
@@ -144,16 +144,16 @@ def manual_cell(alpha, n, n_sim, seed, alpha_index=0, n_index=0):
 def check_cell_against_manual(alpha, n, n_sim, seed, alpha_index, n_index):
     sizes, manual = manual_cell(alpha, n, n_sim, seed, alpha_index, n_index)
     params = GammaParams(alpha)
-    blocks = [
+    results = [
         _run_block(params, n, rows, seed, alpha_index, n_index, block)
         for block, rows in enumerate(sizes)
     ]
+    (engine_values,) = _cell_values([n], n_sim, results)
     rows = {
         row.estimator: row
         for row in run_cell(alpha, n, n_sim, 1.0, seed, alpha_index=alpha_index, n_index=n_index)
     }
-    for column, key in enumerate(ESTIMATOR_IDS):
-        engine = np.concatenate([block[column] for block in blocks])
+    for engine, key in zip(engine_values, ESTIMATOR_IDS):
         values = manual[key]
         # the engine and the scalar functions share one estimate -> fit ->
         # correct path, so every value and aggregate agrees to the bit
@@ -201,6 +201,14 @@ def test_run_cell_single_observation_cells():
 def test_run_grid_single_cell_matches_run_cell():
     config = SimConfig(alphas=(1.5,), ns=(5,), n_sim=40, master_seed=99)
     assert run_grid(config) == run_cell(1.5, 5, 40, 1.0, 99)
+
+
+def test_run_grid_fit_chunks_match_run_cell():
+    # 80,000 rows: the grid fits them in chunks of at most 2**16 rows, so the
+    # n = 2 cell straddles a chunk boundary; run_cell fits each cell in one
+    config = SimConfig(alphas=(1.5,), ns=(1, 2), n_sim=40_000, master_seed=99)
+    cells = run_cell(1.5, 1, 40_000, 1.0, 99) + run_cell(1.5, 2, 40_000, 1.0, 99, n_index=1)
+    assert run_grid(config) == cells
 
 
 def test_run_grid_orders_axes_ascending():

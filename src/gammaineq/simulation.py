@@ -174,15 +174,13 @@ def _cell_values(ns, n_sim, results):
     not depend on the chunk it falls in."""
     tt, tl, at = (np.concatenate(column) for column in zip(*results))
     n = np.repeat(ns, n_sim)
-    fitted, corrected = [], []
-    for start in range(0, n.size, _BLOCK_VARIATES):
-        chunk = slice(start, start + _BLOCK_VARIATES)
-        (alpha_hat, _, _, _), values = _fit_and_correct(tt[chunk], tl[chunk], at[chunk], n[chunk])
-        # rows without dispersion (every row when n = 1) get no fitted shape
-        fitted.append(~np.isnan(alpha_hat))
-        corrected.append(values)
-    fitted = np.concatenate(fitted)
-    tt_corr, tl_corr, at_corr = np.concatenate(corrected, axis=1)
+    chunks = [slice(start, start + _BLOCK_VARIATES) for start in range(0, n.size, _BLOCK_VARIATES)]
+    corrected = np.concatenate(
+        [_fit_and_correct(tt[c], tl[c], at[c], n[c])[1] for c in chunks], axis=1
+    )
+    # rows whose shape fit failed (every row when n = 1) hold NaN
+    fitted = ~np.isnan(corrected[0])
+    tt_corr, tl_corr, at_corr = corrected
     for start in range(0, n.size, n_sim):
         cell = slice(start, start + n_sim)
         ok = fitted[cell]
@@ -234,6 +232,26 @@ def _summarize(params, n, n_sim, values):
     ]
 
 
+def _run_cells(cells, n_sim, master_seed, workers):
+    """The six summaries of every (alpha_index, n_index, params, n) cell, in
+    cell order: its (cell, block) tasks run serially or on a pool of
+    `workers` processes, then _cell_values fits and corrects them all."""
+    tasks = [
+        (params, n, rows, master_seed, ai, ni, b)
+        for ai, ni, params, n in cells
+        for b, rows in _blocks(n, n_sim)
+    ]
+    if workers == 1 or len(tasks) == 1:
+        results = [_run_block(*task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            results = list(pool.map(_run_block, *zip(*tasks)))
+    summaries = []
+    for (_, _, params, n), cell in zip(cells, _cell_values([c[3] for c in cells], n_sim, results)):
+        summaries.extend(_summarize(params, n, n_sim, cell))
+    return summaries
+
+
 def run_cell(alpha, n, n_sim, rate, master_seed, alpha_index=0, n_index=0):
     """Run all replications for one (alpha, n) cell and aggregate the six
     estimators. Deterministic given master_seed and the cell indices.
@@ -247,12 +265,7 @@ def run_cell(alpha, n, n_sim, rate, master_seed, alpha_index=0, n_index=0):
     master_seed = _check_seed(master_seed)
     alpha_index = _check_index(alpha_index, "alpha_index")
     n_index = _check_index(n_index, "n_index")
-    results = [
-        _run_block(params, n, rows, master_seed, alpha_index, n_index, b)
-        for b, rows in _blocks(n, n_sim)
-    ]
-    (values,) = _cell_values([n], n_sim, results)
-    return _summarize(params, n, n_sim, values)
+    return _run_cells([(alpha_index, n_index, params, n)], n_sim, master_seed, 1)
 
 
 def run_grid(config, workers=1):
@@ -264,25 +277,10 @@ def run_grid(config, workers=1):
     if not isinstance(config, SimConfig):
         raise DomainError(f"expected a SimConfig, got {type(config).__name__}")
     workers = _check_count(workers, "workers")
-
     cells = [
         (ai, ni, GammaParams(alpha, config.rate_for(alpha)), n)
         for ai, alpha in enumerate(sorted(config.alphas))
         for ni, n in enumerate(sorted(config.ns))
     ]
-    tasks = [
-        (params, n, rows, config.master_seed, ai, ni, b)
-        for ai, ni, params, n in cells
-        for b, rows in _blocks(n, config.n_sim)
-    ]
-    if workers == 1 or len(tasks) == 1:
-        results = [_run_block(*task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(_run_block, *zip(*tasks)))
+    return _run_cells(cells, config.n_sim, config.master_seed, workers)
 
-    ordered = []
-    values = _cell_values([n for _, _, _, n in cells], config.n_sim, results)
-    for (_, _, params, n), cell in zip(cells, values):
-        ordered.extend(_summarize(params, n, config.n_sim, cell))
-    return ordered

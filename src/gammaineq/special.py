@@ -130,14 +130,14 @@ def _ln_minus_digamma_series(x):
 
 
 def _trigamma_series(x):
-    # psi'(x) = 1/x + 1/(2x^2) + sum B_2k / x^(2k+1); accurate for x >= 12
+    # psi'(x) = 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1) for k = 1..5, with
+    # B_2k = 2k * (B_2k / 2k) taken exactly from the table; accurate for x >= 12
     inv = 1.0 / x
     t = inv * inv
-    tail = inv * t * (
-        1.0 / 6.0
-        - t * (1.0 / 30.0 - t * (1.0 / 42.0 - t * (1.0 / 30.0 - t * (5.0 / 66.0))))
-    )
-    return inv + 0.5 * t + tail
+    acc = 0.0
+    for k in range(5, 0, -1):
+        acc = 2 * k * _BERNOULLI_OVER_2K[k - 1] + t * acc
+    return inv + 0.5 * t + inv * t * acc
 
 
 def _recurrence_steps(x):

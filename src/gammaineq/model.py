@@ -7,20 +7,13 @@ which is the scale invariance all tests lean on.
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DomainError
-from .special import (
-    _check_count,
-    _check_positive,
-    _digamma,
-    _ln_minus_digamma,
-    _log_gamma_ratio_scaled,
-    digamma,
-    log_gamma_ratio_scaled,
-)
+from .special import _check_count, _check_positive, _ln_minus_digamma, _log_gamma_ratio_gap
 
 
 @dataclass(frozen=True)
@@ -96,18 +89,16 @@ class Sample:
         return hash((self.observations.size, self.observations.tobytes()))
 
 
-def _theil_t(a):
-    # psi(a) + 1/a - ln a. From a = 1 up it is 1/a - (ln a - psi(a)): psi(a)
-    # and ln a both grow like ln a and would cancel every digit at large a.
-    # Below 1 neither form is more accurate than the compensated sum.
-    if a >= 1.0:
-        return 1.0 / a - float(_ln_minus_digamma(a))
-    return math.fsum((digamma(a), 1.0 / a, -math.log(a)))
+def _theil_t(x):
+    # psi(x) + 1/x - ln x = psi(x + 1) - ln x = ln(1 + 1/x) - L(x + 1) with
+    # L = ln - psi: no two large terms cancel at any shape
+    return np.log1p(1.0 / x) - _ln_minus_digamma(x + 1.0)
 
 
 def theil_t_population(params):
-    """Population Theil T index: psi(shape) + 1/shape - ln(shape)."""
-    return _theil_t(params.shape)
+    """Population Theil T index: psi(shape) + 1/shape - ln(shape),
+    evaluated as ln(1 + 1/shape) - L(shape + 1) with L(x) = ln x - psi(x)."""
+    return float(_theil_t(params.shape))
 
 
 def theil_l_population(params):
@@ -132,31 +123,33 @@ def population_values(params):
 
 
 def _scaled_shape(params, n):
-    _check_count(n, "n")
-    return n * params.shape
+    """n * shape for a count n; DomainError when it overflows float64."""
+    n = _check_count(n, "n")
+    if n > sys.float_info.max or math.isinf(x := n * params.shape):
+        raise DomainError(f"n * shape = {n} * {params.shape!r} overflows float64")
+    return x
 
 
 def expected_theil_t(params, n):
     """Exact mean of the Theil T estimator over samples of size n:
     psi(a) + 1/a + ln n - 1/(na) - psi(na), evaluated as the population
-    Theil T at a minus the one at na, which never subtracts two O(ln a)
-    terms and is exactly 0 at n = 1."""
-    return _theil_t(params.shape) - _theil_t(_scaled_shape(params, n))
+    value plus the bias, theil_t(a) - theil_t(na), which is exactly 0 at
+    n = 1."""
+    return theil_t_population(params) + bias_theil_t(params, n)
 
 
 def expected_theil_l(params, n):
     """Exact mean of the Theil L estimator over samples of size n:
-    psi(na) - ln n - psi(a), evaluated as (ln a - psi(a)) - (ln na - psi(na)),
-    which never subtracts two O(ln a) terms and is exactly 0 at n = 1."""
-    return float(_ln_minus_digamma(params.shape) - _ln_minus_digamma(_scaled_shape(params, n)))
+    psi(na) - ln n - psi(a), evaluated as the population value plus the
+    bias, L(a) - L(na), which is exactly 0 at n = 1."""
+    return theil_l_population(params) + bias_theil_l(params, n)
 
 
 def expected_atkinson(params, n):
     """Exact mean of the Atkinson estimator over samples of size n:
-    1 - Gamma(a + 1/n)^n / (a * Gamma(a)^n), evaluated in log space."""
-    a = params.shape
-    _check_count(n, "n")
-    gap = log_gamma_ratio_scaled(a, n) - math.log(a)
+    1 - Gamma(a + 1/n)^n / (a * Gamma(a)^n) = -expm1(G), clamped at 0, with
+    the log-gap G = n (ln Gamma(a + 1/n) - ln Gamma(a)) - ln a."""
+    gap = float(_log_gamma_ratio_gap(params.shape, _check_count(n, "n")))
     return max(0.0, -math.expm1(gap))
 
 
@@ -165,14 +158,13 @@ def expected_atkinson(params, n):
 
 
 def _bias_theil_t(shape, n):
-    x = n * shape
-    return _ln_minus_digamma(x) - 1.0 / x
+    return -_theil_t(n * shape)
 
 
 def bias_theil_t(params, n):
-    """Closed-form bias of the Theil T estimator: ln(na) - 1/(na) - psi(na).
-    Strictly negative; vanishes as na grows."""
-    return float(_bias_theil_t(params.shape, _check_count(n, "n")))
+    """Closed-form bias of the Theil T estimator: minus the population Theil T
+    at shape na. Strictly negative; vanishes as na grows; na must be finite."""
+    return float(-_theil_t(_scaled_shape(params, n)))
 
 
 def _bias_theil_l(shape, n):
@@ -180,28 +172,27 @@ def _bias_theil_l(shape, n):
 
 
 def bias_theil_l(params, n):
-    """Closed-form bias of the Theil L estimator: psi(na) - ln(na).
+    """Closed-form bias of the Theil L estimator: psi(na) - ln(na), finite na.
     Strictly negative; equals -bias_theil_t - 1/(na)."""
-    return float(_bias_theil_l(params.shape, _check_count(n, "n")))
+    return float(-_ln_minus_digamma(_scaled_shape(params, n)))
 
 
 def _bias_atkinson(shape, n):
-    lgr = _log_gamma_ratio_scaled(shape, n)
-    drop = np.minimum(_digamma(shape) - lgr, 0.0)
-    return np.exp(lgr - np.log(shape)) * np.expm1(drop)
+    gap = _log_gamma_ratio_gap(shape, n)
+    return np.exp(gap) * np.expm1(np.minimum(-_ln_minus_digamma(shape) - gap, 0.0))
 
 
 def bias_atkinson(params, n):
     """Closed-form bias of the Atkinson estimator:
     (exp(psi(a)) - Gamma(a + 1/n)^n / Gamma(a)^n) / a.
 
-    Evaluated as exp(lgr - ln a) * expm1(psi(a) - lgr) where lgr is the
-    log-space gamma ratio. Both factors are bounded (the first lies in
-    (0, 1], the second in (-1, 0]), so no intermediate can overflow even
-    at tiny shapes where psi(a) - lgr is hugely negative. The exponent of
-    the second factor is clamped at zero: convexity of ln Gamma makes
-    lgr >= psi(a), and the clamp keeps the nonpositive sign from flipping
-    within rounding noise.
+    Evaluated as exp(G) * expm1(-L(a) - G), with G the log-gap of
+    expected_atkinson and L(a) = ln a - psi(a). Both factors are bounded
+    (the first lies in (0, 1], the second in (-1, 0]), so no intermediate
+    can overflow even at tiny shapes where -L(a) - G is hugely negative.
+    The exponent of the second factor is clamped at zero: convexity of
+    ln Gamma makes G >= -L(a), and the clamp keeps the nonpositive sign
+    from flipping within rounding noise.
     """
     return float(_bias_atkinson(params.shape, _check_count(n, "n")))
 

@@ -25,6 +25,15 @@ def se_from_summary(row):
     return math.sqrt(variance / row.n_effective)
 
 
+def oracle_dps(alpha, n=1):
+    """Working precision, in digits, of an mpmath oracle at shape alpha and
+    sample size n: 40 + 2|log10 alpha| + 2 log10 n. At tiny alpha psi(alpha)
+    and 1/alpha cancel about |log10 alpha| digits, at large alpha
+    ln Gamma(alpha) and the ln(alpha) it is compared with about
+    2 log10 alpha, and a factor n carries log10 n more."""
+    return 40 + 2 * math.ceil(abs(math.log10(alpha))) + 2 * math.ceil(math.log10(n))
+
+
 def numpy_build_note():
     """The numpy version and the SIMD targets of its float64 log, exp and
     power, for the message of a test that pins output bits: those bits

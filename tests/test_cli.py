@@ -451,7 +451,7 @@ def test_simulate_csv_mode_follows_umask(tmp_path, capsys, umask):
 
 # sha256 of the default `simulate --seed 42` CSV: any change to the stream
 # model or to the last bit of any estimate, fit or aggregate shows here
-DEFAULT_GRID_SHA256 = "8438eb42e441386b1c0e18d9b30390d2524f75f64b9f7501be51c57f094c4823"
+DEFAULT_GRID_SHA256 = "c3fb04083b0f99c6c13fc1d1677254dc65d38cd583c6d36ce28d00f11d2ccd05"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import IDENTITY_ALPHAS, IDENTITY_NS
+from conftest import IDENTITY_ALPHAS, IDENTITY_NS, oracle_dps
 from gammaineq import (
     DomainError,
     GammaParams,
@@ -142,41 +142,76 @@ def test_expectation_large_n_limits():
     assert expected_atkinson(one, 10**7) == pytest.approx(atkinson_population(one), abs=1e-6)
 
 
-# shapes from 1e-3 to 1e300: every decade to 1e3, then every tenth decade;
-# 5.6 is the worst case measured, where the recurrence carries the shape up
-# to the asymptotic series
-ORACLE_ALPHAS = (*(10.0**e for e in range(-3, 4)), 5.6, *(10.0**e for e in range(10, 301, 10)))
+# shapes from 1e-300 to 1e300: every decade from 1e-4 to 1e3 and a few
+# below, then every tenth decade; 5.6 is the worst case measured, where the
+# recurrence carries the shape up to the asymptotic series
+ORACLE_ALPHAS = (
+    1e-300,
+    1e-100,
+    1e-30,
+    1e-10,
+    1e-6,
+    *(10.0**e for e in range(-4, 4)),
+    5.6,
+    *(10.0**e for e in range(10, 301, 10)),
+)
+ORACLE_NS = (2, 3, 10, 200, 10**6)
 
 
-def oracle_closed_forms(alpha, n):
-    """Population Theil T and the Theil T and Theil L expectations at
-    (alpha, n) from the textbook digamma formulas in mpmath. psi(alpha) and
-    ln alpha cancel to about 1/alpha, so the working precision grows with
-    log10 alpha."""
-    with mpmath.workdps(40 + max(0, math.ceil(math.log10(alpha)))):
+def oracle_theil(alpha, n):
+    """Population Theil T and the Theil T and Theil L expectations and
+    biases at (alpha, n) from the textbook digamma formulas in mpmath."""
+    with mpmath.workdps(oracle_dps(alpha, n)):
         a, n = mpmath.mpf(alpha), mpmath.mpf(n)
         theil_t = mpmath.digamma(a) + 1 / a - mpmath.log(a)
         e_tt = mpmath.digamma(a) + 1 / a + mpmath.log(n) - 1 / (n * a) - mpmath.digamma(n * a)
+        b_tt = mpmath.log(n * a) - 1 / (n * a) - mpmath.digamma(n * a)
         e_tl = mpmath.digamma(n * a) - mpmath.log(n) - mpmath.digamma(a)
-        return theil_t, e_tt, e_tl
+        b_tl = mpmath.digamma(n * a) - mpmath.log(n * a)
+        return tuple(map(float, (theil_t, e_tt, b_tt, e_tl, b_tl)))
 
 
 @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
 def test_theil_closed_forms_against_mpmath(alpha):
-    # measured: at most 1.6e-15 relative from alpha = 1 up and for Theil L
-    # everywhere; Theil T below 1 is a compensated sum of O(ln alpha) terms,
-    # 1.4e-13 at alpha = 1e-3
+    # measured: at most 1.6e-15 relative, at alpha = 5.6 where the
+    # recurrence runs, except E[theil_t] below alpha = 1e-3, where
+    # theil_t(alpha) - theil_t(n alpha) cancels: 7.9e-14 at 1e-300
     params = GammaParams(alpha)
     tight = 2e-15
-    loose = tight if alpha >= 1.0 else 2e-13
-    theil_t, _, _ = oracle_closed_forms(alpha, 1)
-    assert theil_t_population(params) == pytest.approx(float(theil_t), rel=loose, abs=0.0)
-    for n in (2, 3, 10, 200, 10**6):
-        _, e_tt, e_tl = oracle_closed_forms(alpha, n)
-        assert expected_theil_t(params, n) == pytest.approx(float(e_tt), rel=loose, abs=0.0), n
-        assert expected_theil_l(params, n) == pytest.approx(float(e_tl), rel=tight, abs=0.0), n
+    loose = tight if alpha >= 1e-3 else 1e-13
+    theil_t = oracle_theil(alpha, 1)[0]
+    assert theil_t_population(params) == pytest.approx(theil_t, rel=tight, abs=0.0)
+    for n in ORACLE_NS:
+        _, e_tt, b_tt, e_tl, b_tl = oracle_theil(alpha, n)
+        assert expected_theil_t(params, n) == pytest.approx(e_tt, rel=loose, abs=0.0), n
+        assert bias_theil_t(params, n) == pytest.approx(b_tt, rel=tight, abs=0.0), n
+        assert expected_theil_l(params, n) == pytest.approx(e_tl, rel=tight, abs=0.0), n
+        assert bias_theil_l(params, n) == pytest.approx(b_tl, rel=tight, abs=0.0), n
     # a nonnegative estimator has a nonnegative mean, exactly 0 at n = 1
     assert expected_theil_t(params, 1) == expected_theil_l(params, 1) == 0.0
+
+
+def oracle_atkinson(alpha, n):
+    """The Atkinson expectation 1 - exp(G) and bias exp(psi(alpha))/alpha -
+    exp(G), G = n (ln Gamma(alpha + 1/n) - ln Gamma(alpha)) - ln alpha, in
+    mpmath."""
+    with mpmath.workdps(oracle_dps(alpha, n)):
+        a, n = mpmath.mpf(alpha), mpmath.mpf(n)
+        gap = n * (mpmath.loggamma(a + 1 / n) - mpmath.loggamma(a)) - mpmath.log(a)
+        return float(-mpmath.expm1(gap)), float(mpmath.exp(mpmath.digamma(a)) / a - mpmath.exp(gap))
+
+
+@pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+def test_atkinson_closed_forms_against_mpmath(alpha):
+    # measured: E within 2.4e-13 and B within 2.1e-12 for n <= 200, both at
+    # alpha = 5.6, n = 10, where ln Gamma is differenced directly; B loses
+    # about n ulps at n = 1e6
+    params = GammaParams(alpha)
+    for n in ORACLE_NS:
+        e_at, b_at = oracle_atkinson(alpha, n)
+        assert expected_atkinson(params, n) == pytest.approx(e_at, rel=5e-13, abs=0.0), n
+        bound = 5e-12 if n <= 200 else 5e-9
+        assert bias_atkinson(params, n) == pytest.approx(b_at, rel=bound, abs=0.0), n
 
 
 def test_expectation_cross_identity():
@@ -247,6 +282,16 @@ def test_bias_n_validation():
         bias_atkinson(GammaParams(1.0), -3)
     with pytest.raises(DomainError):
         expected_atkinson(GammaParams(1.0), 2.0)
+
+
+@pytest.mark.parametrize("closed_form", [expected_theil_t, expected_theil_l, bias_theil_t, bias_theil_l])
+def test_theil_closed_forms_reject_overflowing_scaled_shape(closed_form):
+    # n * shape = 1e309 is beyond float64; the n * shape terms would drop out
+    with pytest.raises(DomainError, match=r"n \* shape = 1000000000 \* 1e\+300 overflows"):
+        closed_form(GammaParams(1e300), 10**9)
+    # a count too large for any float is the same error
+    with pytest.raises(DomainError, match="overflows float64"):
+        closed_form(GammaParams(1.0), 10**400)
 
 
 def test_sample_validation():

@@ -9,13 +9,14 @@ import argparse
 import csv
 import dataclasses
 import errno
+import io
 import itertools
 import math
-import operator
 import os
 import sys
 import tempfile
 import time
+import warnings
 
 import numpy as np
 
@@ -87,14 +88,24 @@ def _read_observations(path):
     the first non-blank line read as a CSV row. Blank lines are ignored.
     Returns the observations as a float64 array.
 
-    The file is parsed in one bulk pass. Only when that pass fails, or finds
-    a value that is not finite and positive, is it scanned again line by
-    line (`_scan_lines`, `_scan_incomes`). The scan raises the DomainError
-    naming the line of the first invalid observation; if the bulk pass
-    stopped only at a CSV row of blank fields, which the scan skips, it
-    returns the values instead."""
+    The file is opened once, and the open file, never its path, is handed
+    to numpy's C text reader (`np.loadtxt`). A file that cannot seek, such
+    as a pipe, is read into memory first. Only when numpy's read fails, or
+    finds a value that is not finite and positive, is the file read again
+    from the start, line by line (`_scan_lines`, `_scan_incomes`). What
+    reaches the scan: any invalid observation, a line of two numbers, a
+    short CSV row or a CSV row of blank fields, and spellings that `float`
+    accepts but numpy does not, such as `1_000` or non-ASCII digits. The
+    scan raises the DomainError naming the line of the first invalid
+    observation, or returns the values if there is none.
+
+    numpy's reader accepts two kinds of CSV file that the scan rejects: an
+    income with the ASCII separator controls U+001C to U+001F around it,
+    which numpy strips and `float` does not, and a field longer than
+    `csv.field_size_limit()`."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
+        with open(path, "r", encoding="utf-8-sig") as file:
+            handle = file if file.seekable() else io.StringIO(file.read())
             first = next(filter(str.strip, handle), None)
             if first is None:
                 raise DomainError(f"{path}: no observations found")
@@ -104,30 +115,34 @@ def _read_observations(path):
             try:
                 column = _income_column(next(csv.reader([first])))
                 is_csv = column is not None
-                values = _bulk_incomes(lines, column) if is_csv else _bulk_lines(lines)
+                with warnings.catch_warnings():
+                    # a header with no rows: reported below as no observations
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    # comments=None: numpy would otherwise read `1.5#x` as 1.5
+                    if is_csv:
+                        # skip the header, whose `income` column is given, up
+                        # to the end of its last quoted field
+                        next(csv.reader(lines))
+                        values = np.loadtxt(
+                            lines, dtype=float, comments=None, delimiter=",", quotechar='"',
+                            usecols=column, ndmin=1,
+                        )
+                    else:
+                        values = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+                        values = values[:, 0] if values.shape[1] == 1 else None
             except UnicodeDecodeError:
                 raise
-            except (ValueError, IndexError, csv.Error):
+            except (ValueError, csv.Error):
                 values = None
-        if values is None or not (np.isfinite(values) & (values > 0.0)).all():
-            values = np.array(_scan_incomes(path) if is_csv else _scan_lines(path), dtype=float)
+            if values is None or not (np.isfinite(values) & (values > 0.0)).all():
+                handle.seek(0)
+                scan = _scan_incomes if is_csv else _scan_lines
+                values = np.array(scan(handle, path), dtype=float)
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
     if values.size == 0:
         raise DomainError(f"{path}: no observations found")
     return values
-
-
-def _bulk_lines(lines):
-    return np.fromiter(map(float, filter(str.strip, lines)), dtype=float)
-
-
-def _bulk_incomes(lines, column):
-    reader = csv.reader(lines)
-    next(reader)  # the header, whose `income` column is given
-    # csv.reader yields [] for an empty line
-    rows = filter(None, reader)
-    return np.fromiter(map(float, map(operator.itemgetter(column), rows)), dtype=float)
 
 
 def _income_column(header):
@@ -137,37 +152,35 @@ def _income_column(header):
     return max((i for i, name in enumerate(names) if name == "income"), default=None)
 
 
-def _scan_lines(path):
-    # split as the bulk pass does: at newlines only, not also at \v, \f, ...
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        return [
-            _parse_observation(line.strip(), path, line_num)
-            for line_num, line in enumerate(handle, start=1)
-            if line.strip()
-        ]
+def _scan_lines(lines, path):
+    # `lines`, a file, splits at newlines only, not also at \v, \f, ...
+    return [
+        _parse_observation(line.strip(), path, line_num)
+        for line_num, line in enumerate(lines, start=1)
+        if line.strip()
+    ]
 
 
-def _scan_incomes(path):
+def _scan_incomes(lines, path):
     """A row whose fields are all blank is skipped unless it is longer than
     the header; `line_num` counts physical lines, so a quoted field that
     spans lines does not shift the line reported. A row the csv module
     rejects, such as one with a field over `csv.field_size_limit()`, raises
     DomainError naming its line."""
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(row for row in reader if "".join(row).strip())
-            column = _income_column(header)
-            values = []
-            for row in reader:
-                if len(row) <= len(header) and not "".join(row).strip():
-                    continue
-                raw = row[column] if column is not None and column < len(row) else ""
-                if not raw.strip():
-                    raise DomainError(f"{path}: line {reader.line_num}: missing income value")
-                values.append(_parse_observation(raw, path, reader.line_num))
-        except csv.Error as exc:
-            raise DomainError(f"{path}: line {reader.line_num}: {exc}") from None
+    reader = csv.reader(lines)
+    try:
+        header = next(row for row in reader if "".join(row).strip())
+        column = _income_column(header)
+        values = []
+        for row in reader:
+            if len(row) <= len(header) and not "".join(row).strip():
+                continue
+            raw = row[column] if column is not None and column < len(row) else ""
+            if not raw.strip():
+                raise DomainError(f"{path}: line {reader.line_num}: missing income value")
+            values.append(_parse_observation(raw, path, reader.line_num))
+    except csv.Error as exc:
+        raise DomainError(f"{path}: line {reader.line_num}: {exc}") from None
     return values
 
 

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .special import _check_count, _check_positive, _ln_minus_digamma, _log_gamma_ratio_gap
+from .special import (
+    _check_count,
+    _check_positive,
+    _ln_minus_digamma,
+    _log1p_ratio,
+    _log_gamma_ratio_gap,
+)
 
 
 @dataclass(frozen=True)
@@ -92,7 +98,7 @@ class Sample:
 def _theil_t(x):
     # psi(x) + 1/x - ln x = psi(x + 1) - ln x = ln(1 + 1/x) - L(x + 1) with
     # L = ln - psi: no two large terms cancel at any shape
-    return np.log1p(1.0 / x) - _ln_minus_digamma(x + 1.0)
+    return _log1p_ratio(1.0, x) - _ln_minus_digamma(x + 1.0)
 
 
 def theil_t_population(params):
@@ -101,16 +107,26 @@ def theil_t_population(params):
     return float(_theil_t(params.shape))
 
 
+def _finite_ln_minus_digamma(x, name):
+    """L(x) = ln x - psi(x) for a float x; DomainError where it exceeds the
+    largest double, below x ~ 5.6e-309."""
+    value = float(_ln_minus_digamma(x))
+    if math.isinf(value):
+        raise DomainError(f"ln x - psi(x) overflows float64 at {name} = {x!r}")
+    return value
+
+
 def theil_l_population(params):
-    """Population Theil L (mean log deviation) index: ln(shape) - psi(shape)."""
-    return float(_ln_minus_digamma(params.shape))
+    """Population Theil L (mean log deviation) index: ln(shape) - psi(shape);
+    DomainError below shape ~ 5.6e-309, where it overflows float64."""
+    return _finite_ln_minus_digamma(params.shape, "shape")
 
 
 def atkinson_population(params):
     """Population Atkinson index (unit inequality aversion):
     1 - exp(psi(shape))/shape, evaluated as -expm1(-theil_l) so the value
-    stays inside (0, 1) with full relative accuracy for any shape."""
-    return -math.expm1(-theil_l_population(params))
+    stays inside (0, 1] with full relative accuracy for any shape."""
+    return -math.expm1(-float(_ln_minus_digamma(params.shape)))
 
 
 def population_values(params):
@@ -174,7 +190,7 @@ def _bias_theil_l(shape, n):
 def bias_theil_l(params, n):
     """Closed-form bias of the Theil L estimator: psi(na) - ln(na), finite na.
     Strictly negative; equals -bias_theil_t - 1/(na)."""
-    return float(-_ln_minus_digamma(_scaled_shape(params, n)))
+    return -_finite_ln_minus_digamma(_scaled_shape(params, n), "n * shape")
 
 
 def _bias_atkinson(shape, n):

@@ -157,12 +157,27 @@ def _shifted(x, steps, series, term):
     return value
 
 
+def _log1p_ratio(k, x):
+    # ln(1 + k/x) for k >= 0 and x > 0 as log1p(k/x), except where k/x
+    # overflows (x below ~1e-307), which takes ln(x + k) - ln x instead
+    with np.errstate(over="ignore"):
+        ratio = k / x
+    value = np.log1p(ratio)
+    overflowed = np.isinf(ratio)
+    if overflowed.any():
+        value = np.where(overflowed, np.log(x + k) - np.log(x), value)
+    return value
+
+
 def _ln_minus_digamma(x):
     # ln x - psi(x) = [ln - psi](x + k) + sum_{j<k} 1/(x + j) - log1p(k/x):
     # the recurrence applied to the difference itself, so no two O(ln x)
-    # terms are ever subtracted
+    # terms are ever subtracted. Below x ~ 5.6e-309, where 1/x overflows,
+    # so does L(x) ~ 1/x: the result is inf.
     steps = _recurrence_steps(x)
-    return _shifted(x, steps, _ln_minus_digamma_series, lambda y: 1.0 / y) - np.log1p(steps / x)
+    with np.errstate(over="ignore"):
+        shifted = _shifted(x, steps, _ln_minus_digamma_series, lambda y: 1.0 / y)
+    return shifted - _log1p_ratio(steps, x)
 
 
 def digamma(x):
@@ -195,10 +210,13 @@ def _log_gamma_ratio_gap(alpha, n):
     # quadrature takes psi(t) - ln alpha as log1p((t - alpha)/alpha) - L(t)
     # at t = alpha + d, so nothing close to ln alpha is ever subtracted
     h = 1.0 / n
-    direct = n * (_ln_gamma(alpha + h) - _ln_gamma(alpha)) - np.log(alpha)
+    # the direct difference is discarded where n * alpha >= 64, and from
+    # alpha ~ 1e306 its ln Gamma overflows there
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = n * (_ln_gamma(alpha + h) - _ln_gamma(alpha)) - np.log(alpha)
     off = 0.5 * h * _GL3_OFFSET
     quadrature = sum(
-        weight * (np.log1p(d / alpha) - _ln_minus_digamma(alpha + d))
+        weight * (_log1p_ratio(d, alpha) - _ln_minus_digamma(alpha + d))
         for weight, d in ((5.0, 0.5 * h - off), (8.0, 0.5 * h), (5.0, 0.5 * h + off))
     ) / 18.0
     return np.where(n * alpha < 64.0, direct, quadrature)

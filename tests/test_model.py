@@ -214,6 +214,59 @@ def test_atkinson_closed_forms_against_mpmath(alpha):
         assert bias_atkinson(params, n) == pytest.approx(b_at, rel=bound, abs=0.0), n
 
 
+# around where L(alpha) = ln alpha - psi(alpha) ~ 1/alpha passes the largest
+# double, at alpha ~ 5.6e-309, down to the smallest subnormal
+TINY_ALPHAS = (1e-308, 6e-309, 5e-309, 1e-309, 1e-320, 5e-324)
+
+
+@pytest.mark.parametrize("alpha", TINY_ALPHAS)
+def test_closed_forms_at_tiny_shapes_are_finite_or_a_domain_error(alpha):
+    # each value is finite and accurate, or a DomainError where L at the
+    # shape or at n * shape, which the value needs, exceeds the largest double
+    params = GammaParams(alpha)
+    with mpmath.workdps(400):
+        a = mpmath.mpf(alpha)
+        theil_t = float(mpmath.digamma(a + 1) - mpmath.log(a))
+        theil_l = mpmath.log(a) - mpmath.digamma(a)
+    assert theil_t_population(params) == pytest.approx(theil_t, rel=1e-15, abs=0.0)
+    assert atkinson_population(params) == 1.0
+    if theil_l <= np.finfo(float).max:
+        assert theil_l_population(params) == pytest.approx(float(theil_l), rel=2e-15, abs=0.0)
+    else:
+        with pytest.raises(DomainError, match=rf"overflows float64 at shape = {alpha!r}$"):
+            theil_l_population(params)
+        with pytest.raises(DomainError, match=rf"at shape = {alpha!r}$"):
+            expected_theil_l(params, 10)
+    for n in (2, 10, 200):
+        _, e_tt, b_tt, e_tl, b_tl = oracle_theil(alpha, n)
+        e_at, b_at = oracle_atkinson(alpha, n)
+        if theil_l <= np.finfo(float).max:
+            assert expected_theil_l(params, n) == pytest.approx(e_tl, rel=2e-15, abs=0.0), n
+        assert expected_theil_t(params, n) == pytest.approx(e_tt, rel=1e-13, abs=0.0), n
+        assert bias_theil_t(params, n) == pytest.approx(b_tt, rel=2e-15, abs=0.0), n
+        assert expected_atkinson(params, n) == pytest.approx(e_at, rel=5e-13, abs=0.0), n
+        assert bias_atkinson(params, n) == pytest.approx(b_at, rel=5e-12, abs=0.0), n
+        if math.isfinite(b_tl):
+            assert bias_theil_l(params, n) == pytest.approx(b_tl, rel=2e-15, abs=0.0), n
+        else:
+            with pytest.raises(DomainError, match=r"at n \* shape = "):
+                bias_theil_l(params, n)
+
+
+def test_theil_t_where_one_over_shape_overflows():
+    # 1/shape overflows below ~5.6e-309; ln(1 + 1/shape) does not
+    assert theil_t_population(GammaParams(1e-309)) == pytest.approx(710.921578070, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1e306, 1e308])
+def test_atkinson_closed_forms_at_huge_shapes_warn_nothing(alpha):
+    # the direct log-gamma difference, discarded at n * alpha >= 64,
+    # overflows from alpha ~ 1e306; the suite turns its warnings into errors
+    e_at, b_at = oracle_atkinson(alpha, 10)
+    assert expected_atkinson(GammaParams(alpha), 10) == pytest.approx(e_at, rel=5e-13, abs=0.0)
+    assert bias_atkinson(GammaParams(alpha), 10) == pytest.approx(b_at, rel=5e-12, abs=0.0)
+
+
 def test_expectation_cross_identity():
     for alpha in IDENTITY_ALPHAS:
         params = GammaParams(alpha)

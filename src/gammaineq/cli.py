@@ -105,7 +105,7 @@ def _read_observations(path):
     `csv.field_size_limit()`."""
     try:
         with open(path, "r", encoding="utf-8-sig") as file:
-            handle = file if file.seekable() else io.StringIO(file.read())
+            handle = file if file.seekable() else _read_pipe(file)
             first = next(filter(str.strip, handle), None)
             if first is None:
                 raise DomainError(f"{path}: no observations found")
@@ -184,8 +184,17 @@ def _scan_incomes(lines, path):
     return values
 
 
+def _read_pipe(file):
+    """The whole of a text file that cannot seek, as a StringIO that reads
+    as the file would. The bytes are decoded in one piece, byte-order mark
+    included, so a decoding error counts its offset from the first byte."""
+    text = file.buffer.read().decode("utf-8").removeprefix("\ufeff")
+    return io.StringIO(text, newline=None)
+
+
 def _not_utf8(path, exc):
-    # `exc` counts bytes from the start of the chunk being decoded, not of the file
+    # `exc` counts bytes from the start of the chunk being decoded, not of the
+    # file, unless it comes from _read_pipe; a pipe cannot be read again
     with open(path, "rb") as handle:
         data = handle.read()
     try:

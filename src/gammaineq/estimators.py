@@ -47,7 +47,11 @@ def theil_l_hat(sample):
 
 def atkinson_hat(sample):
     """Atkinson estimate: 1 - geometric_mean/arithmetic_mean, evaluated as
-    1 - exp(-theil_l_hat) so it stays in [0, 1)."""
+    -expm1(-theil_l_hat).
+
+    It lies in [0, 1] in doubles: exactly 0 iff all observations are equal,
+    and exactly 1.0 only once theil_l_hat reaches about 54 ln 2 = 37.43, where
+    exp(-theil_l_hat) falls below half an ulp of 1 (Sample([1, 1e-40]))."""
     return float(_row_estimates(_sample_rows(sample))[2][0])
 
 

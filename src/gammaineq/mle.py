@@ -66,7 +66,9 @@ def _row_estimates(x):
     # an overflowed sum is checked below; for equal rows it is harmless
     with np.errstate(over="ignore", invalid="ignore"):
         total = x.sum(axis=1)
-        weighted = (x * logs).sum(axis=1)
+        log_total = logs.sum(axis=1)
+        # the logs are summed before x*ln(x) overwrites them
+        weighted = np.multiply(x, logs, out=logs).sum(axis=1)
         overflow = spread & ~(np.isfinite(total) & np.isfinite(weighted))
         if overflow.any():
             raise DomainError(
@@ -75,7 +77,7 @@ def _row_estimates(x):
             )
         mean = total / n
         tt = weighted / total - np.log(total) + math.log(n)
-        tl = np.log(mean) - logs.sum(axis=1) / n
+        tl = np.log(mean) - log_total / n
     # exact zeros for equal rows; elsewhere clamp rounding below zero
     tt = np.where(spread, np.maximum(tt, 0.0), 0.0)
     tl = np.where(spread, np.maximum(tl, 0.0), 0.0)

@@ -82,6 +82,15 @@ class Sample:
         obs.flags.writeable = False
         object.__setattr__(self, "observations", obs)
 
+    @classmethod
+    def _adopt(cls, observations):
+        """A Sample that takes over a float64 1-D array this module made and
+        checked itself, frozen in place rather than copied and checked again."""
+        observations.flags.writeable = False
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "observations", observations)
+        return sample
+
     @property
     def n(self):
         return int(self.observations.size)
@@ -157,8 +166,22 @@ def expected_theil_t(params, n):
 def expected_theil_l(params, n):
     """Exact mean of the Theil L estimator over samples of size n:
     psi(na) - ln n - psi(a), evaluated as the population value plus the
-    bias, L(a) - L(na), which is exactly 0 at n = 1."""
-    return theil_l_population(params) + bias_theil_l(params, n)
+    bias, L(a) - L(na), which is exactly 0 at n = 1.
+
+    Below a ~ 5.6e-309, where L(a) ~ 1/a overflows, the 1/a terms are taken
+    out analytically: the Theil L and Theil T expectations sum to exactly
+    (1 - 1/n)/a, so the value is that minus expected_theil_t. DomainError
+    only where the value itself exceeds the largest double."""
+    if math.isfinite(population := float(_ln_minus_digamma(params.shape))):
+        return population + bias_theil_l(params, n)
+    # expected_theil_t also refuses a count n beyond the largest double
+    mean_theil_t = expected_theil_t(params, n)
+    value = (1.0 - 1.0 / _check_count(n, "n")) / params.shape - mean_theil_t
+    if math.isinf(value):
+        raise DomainError(
+            f"the mean Theil L estimate for n = {n} overflows float64 at shape = {params.shape!r}"
+        )
+    return value
 
 
 def expected_atkinson(params, n):
@@ -228,19 +251,31 @@ def _marsaglia_tsang_round(stream, d, c, size):
     The log test runs only on the draws with v > 0 that the squeeze
     rejected (8% at shape 1.5); a log of a subset has the same bits as the
     same elements of a log over the whole array.
+
+    The full-size arithmetic works in place on three buffers (v, x and the
+    threshold t), with the same IEEE operations on the same operands as
+    the plain expressions, so the bits are theirs.
     """
     x = stream.standard_normal(size)
     u = stream.random(size)
-    v = (1.0 + c * x) ** 3
-    x2 = x * x
+    v = np.multiply(x, c)
+    v += 1.0
+    v **= 3
     ok = v > 0.0
-    accept = ok & (u < 1.0 - 0.0331 * (x2 * x2))
+    # x holds x*x from here on; t is the squeeze threshold 1 - 0.0331*x**4
+    np.multiply(x, x, out=x)
+    t = x * x
+    t *= 0.0331
+    np.subtract(1.0, t, out=t)
+    accept = np.less(u, t)
+    accept &= ok
     slow = np.flatnonzero(ok & ~accept)
     v_slow = v[slow]
-    accept[slow] = np.log(np.maximum(u[slow], 5e-324)) < 0.5 * x2[slow] + d * (
+    accept[slow] = np.log(np.maximum(u[slow], 5e-324)) < 0.5 * x[slow] + d * (
         1.0 - v_slow + np.log(v_slow)
     )
-    return d * v, accept
+    v *= d
+    return v, accept
 
 
 def _gamma_variates_ge1(stream, shape, count):
@@ -263,8 +298,11 @@ def _gamma_variates(stream, shape, count):
     # boost trick for shape < 1: Gamma(shape) = Gamma(shape + 1) * U^(1/shape);
     # 1 - random() keeps U in (0, 1] so the power cannot hit log(0)
     y = _gamma_variates_ge1(stream, shape + 1.0, count)
-    u = 1.0 - stream.random(count)
-    return y * u ** (1.0 / shape)
+    u = stream.random(count)
+    np.subtract(1.0, u, out=u)
+    u **= 1.0 / shape
+    u *= y
+    return u
 
 
 def sample_gamma(params, count, stream):
@@ -279,12 +317,12 @@ def sample_gamma(params, count, stream):
         raise DomainError(f"stream must be a numpy Generator, got {type(stream).__name__}")
     draws = _gamma_variates(stream, params.shape, count)
     if params.rate != 1.0:
-        draws = draws / params.rate
+        draws /= params.rate
     bad = ~(np.isfinite(draws) & (draws > 0.0))
     while bad.any():
         redrawn = _gamma_variates(stream, params.shape, int(bad.sum()))
         if params.rate != 1.0:
-            redrawn = redrawn / params.rate
+            redrawn /= params.rate
         draws[bad] = redrawn
         bad = ~(np.isfinite(draws) & (draws > 0.0))
-    return Sample(draws)
+    return Sample._adopt(draws)

@@ -14,8 +14,8 @@ once over the rows of all cells, put back in task order, and aggregation
 reduces each cell in replication order with exact compensated summation.
 """
 
+import concurrent.futures
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -244,7 +244,8 @@ def _run_cells(cells, n_sim, master_seed, workers):
     if workers == 1 or len(tasks) == 1:
         results = [_run_block(*task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        # looked up here, so importing the package does not load multiprocessing
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_run_block, *zip(*tasks)))
     summaries = []
     for (_, _, params, n), cell in zip(cells, _cell_values([c[3] for c in cells], n_sim, results)):

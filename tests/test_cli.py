@@ -290,17 +290,27 @@ def test_estimate_accepts_bom_spaced_header_and_leading_blanks(tmp_path, capsys,
     assert run_cli(capsys, "estimate", str(data)) == (0, PAIR_STDOUT, "")
 
 
-@pytest.mark.parametrize(
+NON_UTF8_PAYLOADS = pytest.mark.parametrize(
     "payload, offset",
     [(b"1.5\n\xff\xfe2\n", 4), (b"\xef\xbb\xbf1.5\n\xff\xfe2\n", 7), (b"1\n" * 50_000 + b"\xc3(", 100_000)],
     ids=["second-line", "after-bom", "past-first-read-chunk"],
 )
+
+
+@NON_UTF8_PAYLOADS
 def test_estimate_non_utf8_exits_1_naming_the_byte(tmp_path, capsys, payload, offset):
     data = tmp_path / "bad.txt"
     data.write_bytes(payload)
     code, out, err = run_cli(capsys, "estimate", str(data))
     assert (code, out) == (1, "")
     assert err.startswith(f"gammaineq: {data}: byte {offset}: not UTF-8 text (")
+
+
+@NON_UTF8_PAYLOADS
+def test_estimate_non_utf8_on_a_pipe_names_the_byte_a_file_names(payload, offset):
+    result = _run_module("estimate", "/dev/stdin", input=payload, text=False)
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert result.stderr.startswith(f"gammaineq: /dev/stdin: byte {offset}: not UTF-8 text (".encode())
 
 
 @pytest.mark.parametrize(
@@ -465,19 +475,32 @@ def test_reader_opens_the_file_once_and_never_passes_numpy_a_path(tmp_path, monk
         assert (opened, len(loaded)) == ([str(data)], 1), name
 
 
-def _run_module(*argv, **kwargs):
+def _run_python(*argv, **kwargs):
     # the child finds the package where this process imported it from, so
     # the test also runs from a checkout where the package is not installed
     package_root = str(pathlib.Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "gammaineq", *argv],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
-        **kwargs,
+        [sys.executable, *argv],
+        **{
+            "capture_output": True,
+            "text": True,
+            "timeout": 60,
+            "env": {**os.environ, "PYTHONPATH": path},
+            **kwargs,
+        },
     )
+
+
+def _run_module(*argv, **kwargs):
+    return _run_python("-m", "gammaineq", *argv, **kwargs)
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # estimate and a serial simulate never start a pool; the pool's module
+    # and multiprocessing are imported on first use
+    result = _run_python("-c", "import sys, gammaineq.cli; print('multiprocessing' in sys.modules)")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
 
 def test_estimate_header_only_csv_prints_only_the_error(tmp_path):
@@ -490,8 +513,8 @@ def test_estimate_header_only_csv_prints_only_the_error(tmp_path):
 
 @pytest.mark.parametrize(
     "payload",
-    ["1\n3\n2.5\n", "id,income\na,1\nb,3\nc,2.5\n", "1\n3\n2_5\n", "1\nfoo\n"],
-    ids=["lines", "csv", "scan", "invalid"],
+    ["1\n3\n2.5\n", "id,income\na,1\nb,3\nc,2.5\n", "1\n3\n2_5\n", "1\nfoo\n", "1\r\n3\r2.5\n"],
+    ids=["lines", "csv", "scan", "invalid", "crlf-and-cr"],
 )
 def test_estimate_reads_stdin_as_it_reads_a_file(tmp_path, payload):
     # a pipe cannot be opened twice, so what the scan reads again is kept

@@ -84,6 +84,16 @@ def test_single_observation_gives_exact_zero():
     assert atkinson_hat(sample) == 0.0
 
 
+def test_atkinson_reaches_one_only_past_54_ln_2():
+    # -expm1(-theil_l_hat) rounds to 1.0 once exp(-theil_l_hat) is below
+    # half an ulp of 1; a gap of 1e-30 keeps theil_l_hat at 33.8 and 1e-40
+    # takes it to 45.4
+    assert atkinson_hat(Sample([1.0, 1e-30])) < 1.0
+    assert theil_l_hat(Sample([1.0, 1e-40])) > 54 * math.log(2)
+    assert atkinson_hat(Sample([1.0, 1e-40])) == 1.0
+    assert atkinson_hat(Sample([3.0, 3.0])) == 0.0
+
+
 def test_estimators_reject_raw_arrays():
     with pytest.raises(DomainError):
         theil_t_hat([1.0, 2.0])

@@ -4,18 +4,21 @@ convergence, degeneracy handling, invariances, and the batched fit and
 correction that give every row the same bits in any batch."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import optimize
 from scipy import special as sps
 
 from conftest import numpy_build_note, pinned_gamma_sample
 from gammaineq import (
     DegenerateSampleError,
+    DomainError,
     GammaParams,
     MleResult,
     NoConvergenceError,
@@ -250,3 +253,54 @@ def test_fit_and_correct_is_the_same_in_any_batch(seed, rows, cuts):
         # a row of one observation is degenerate for that reason alone
         assert ("two observations" in str(exc)) == (n[i] < 2)
     assert np.isnan(alpha).sum() == len(failures)
+
+
+# the row kernel as it was when every step allocated its own temporary; the
+# live kernel, which forms x*ln(x) in the buffer of the logs, must give the
+# same bits and leave its input alone
+def _reference_row_estimates(x):
+    x = np.sort(x, axis=1)
+    n = x.shape[1]
+    logs = np.log(x)
+    spread = x[:, 0] != x[:, -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = x.sum(axis=1)
+        weighted = (x * logs).sum(axis=1)
+        overflow = spread & ~(np.isfinite(total) & np.isfinite(weighted))
+        if overflow.any():
+            raise DomainError(
+                "the sum of x or of x*ln(x) overflows float64 "
+                f"(largest observation {x[overflow, -1].max():.6g})"
+            )
+        mean = total / n
+        tt = weighted / total - np.log(total) + math.log(n)
+        tl = np.log(mean) - logs.sum(axis=1) / n
+    tt = np.where(spread, np.maximum(tt, 0.0), 0.0)
+    tl = np.where(spread, np.maximum(tl, 0.0), 0.0)
+    return tt, tl, -np.expm1(-tl), mean
+
+
+def _row_outcome(kernel, x):
+    try:
+        return [column.view(np.int64).tolist() for column in kernel(x)]
+    except DomainError as exc:
+        return str(exc)
+
+
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 4), st.integers(1, 300)),
+        # ordinary incomes, and anything from the smallest subnormal to the
+        # largest double, where the sums overflow
+        elements=st.one_of(
+            st.floats(1e-3, 1e3),
+            st.floats(5e-324, sys.float_info.max, allow_subnormal=True),
+        ),
+    )
+)
+def test_row_kernel_bits_match_reference(x):
+    before = x.copy()
+    x.flags.writeable = False
+    assert _row_outcome(_row_estimates, x) == _row_outcome(_reference_row_estimates, before)
+    assert np.array_equal(x, before)

@@ -253,6 +253,21 @@ def test_closed_forms_at_tiny_shapes_are_finite_or_a_domain_error(alpha):
                 bias_theil_l(params, n)
 
 
+@pytest.mark.parametrize("alpha", [5.5e-309, 4e-309, 3e-309, 2.8e-309, 2.7e-309])
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 10**6])
+def test_expected_theil_l_where_its_population_value_overflows(alpha, n):
+    # L(alpha) ~ 1/alpha overflows below ~5.6e-309, but the mean Theil L
+    # estimate, ~(1 - 1/n)/alpha, is finite down to alpha ~ 2.8e-309 at n = 2
+    with mpmath.workdps(400):
+        a = mpmath.mpf(alpha)
+        exact = mpmath.digamma(n * a) - mpmath.log(n) - mpmath.digamma(a)
+    if exact <= np.finfo(float).max:
+        assert expected_theil_l(GammaParams(alpha), n) == pytest.approx(float(exact), rel=5e-16, abs=0.0)
+    else:
+        with pytest.raises(DomainError, match=rf"for n = {n} overflows float64 at shape = {alpha!r}$"):
+            expected_theil_l(GammaParams(alpha), n)
+
+
 def test_theil_t_where_one_over_shape_overflows():
     # 1/shape overflows below ~5.6e-309; ln(1 + 1/shape) does not
     assert theil_t_population(GammaParams(1e-309)) == pytest.approx(710.921578070, rel=1e-12)
@@ -470,3 +485,29 @@ def test_sampler_bits_match_reference(shape, count):
         assert np.array_equal(live.view(np.int64), reference.view(np.int64)), (shape, count, seed)
         # both consumed the same number of stream values
         assert live_stream.random() == reference_stream.random()
+
+
+# below 1, a rate cannot underflow a draw to zero, so the live sampler
+# redraws exactly what the reference does before dividing by the rate
+@pytest.mark.parametrize("shape", [1e-3, 0.1, 0.5, 1.0, 1.5, 2.0, 7.3, 1e3])
+@pytest.mark.parametrize("count", [1, 17, 65_536])
+def test_sampler_bits_at_a_rate_match_reference_divided_by_it(shape, count):
+    rate = 0.37
+    for seed in (0, 42, 2**63 + 5):
+        live_stream = derive_stream(seed, 3, 1, 7)
+        reference_stream = derive_stream(seed, 3, 1, 7)
+        live = sample_gamma(GammaParams(shape, rate), count, live_stream).observations
+        reference = _reference_sample_gamma(shape, count, reference_stream) / rate
+        assert np.array_equal(live.view(np.int64), reference.view(np.int64)), (shape, count, seed)
+        assert live_stream.random() == reference_stream.random()
+
+
+def test_sampled_observations_are_frozen_and_equal_a_copy():
+    # sample_gamma hands its own array to the Sample instead of copying it
+    sample = sample_gamma(GammaParams(0.5, 2.0), 1000, derive_stream(7, 0, 0, 0))
+    assert not sample.observations.flags.writeable
+    with pytest.raises(ValueError):
+        sample.observations[0] = 5.0
+    copy = Sample(sample.observations)
+    assert copy.observations is not sample.observations
+    assert (copy.n, copy, hash(copy)) == (sample.n, sample, hash(sample))

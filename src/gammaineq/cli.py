@@ -90,7 +90,7 @@ def _read_observations(path):
 
     The file is opened once, and the open file, never its path, is handed
     to numpy's C text reader (`np.loadtxt`). A file that cannot seek, such
-    as a pipe, is read into memory first. Only when numpy's read fails, or
+    as a pipe, is held in memory as bytes. Only when numpy's read fails, or
     finds a value that is not finite and positive, is the file read again
     from the start, line by line (`_scan_lines`, `_scan_incomes`). What
     reaches the scan: any invalid observation, a line of two numbers, a
@@ -103,9 +103,10 @@ def _read_observations(path):
     income with the ASCII separator controls U+001C to U+001F around it,
     which numpy strips and `float` does not, and a field longer than
     `csv.field_size_limit()`."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as file:
-            handle = file if file.seekable() else _read_pipe(file)
+    with open(path, "rb") as file:
+        source = file if file.seekable() else io.BytesIO(file.read())
+        handle = io.TextIOWrapper(source, encoding="utf-8-sig")
+        try:
             first = next(filter(str.strip, handle), None)
             if first is None:
                 raise DomainError(f"{path}: no observations found")
@@ -138,8 +139,9 @@ def _read_observations(path):
                 handle.seek(0)
                 scan = _scan_incomes if is_csv else _scan_lines
                 values = np.array(scan(handle, path), dtype=float)
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
+        except UnicodeDecodeError as exc:
+            source.seek(0)
+            raise _not_utf8(path, source.read(), exc) from None
     if values.size == 0:
         raise DomainError(f"{path}: no observations found")
     return values
@@ -184,23 +186,13 @@ def _scan_incomes(lines, path):
     return values
 
 
-def _read_pipe(file):
-    """The whole of a text file that cannot seek, as a StringIO that reads
-    as the file would. The bytes are decoded in one piece, byte-order mark
-    included, so a decoding error counts its offset from the first byte."""
-    text = file.buffer.read().decode("utf-8").removeprefix("\ufeff")
-    return io.StringIO(text, newline=None)
-
-
-def _not_utf8(path, exc):
-    # `exc` counts bytes from the start of the chunk being decoded, not of the
-    # file, unless it comes from _read_pipe; a pipe cannot be read again
-    with open(path, "rb") as handle:
-        data = handle.read()
+def _not_utf8(path, data, exc):
+    # `exc` counts bytes from the start of the chunk being decoded; decoding
+    # all of `data`, the input from its first byte, counts from the start
     try:
         data.decode("utf-8")
-    except UnicodeDecodeError as whole_file:
-        exc = whole_file
+    except UnicodeDecodeError as whole_input:
+        exc = whole_input
     return DomainError(f"{path}: byte {exc.start}: not UTF-8 text ({exc.reason})")
 
 
@@ -267,17 +259,15 @@ def write_results_csv(path, summaries):
     """Write summaries as CSV (shortest round-trip float encoding, LF line
     endings), atomically: the target appears only fully written."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".results-", suffix=".csv.tmp")
+    tmp_path = os.path.join(directory, f".results-{os.urandom(8).hex()}.csv.tmp")
+    # the kernel applies the umask, as it does for open(path, "w")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(CSV_HEADER)
             for row in summaries:
                 writer.writerow(map(_csv_field, dataclasses.astuple(row)))
-        # mkstemp creates the file 0600; give it the mode open(path, "w") would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException:
         try:

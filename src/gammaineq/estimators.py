@@ -1,12 +1,12 @@
 """Sample estimators of the Theil T, Theil L, and Atkinson indices, plus
-their bias-corrected versions. The scalar estimators run the row kernel
-(mle._row_estimates); estimate_all runs the whole estimate -> fit ->
-correct pass (mle._estimate_rows)."""
+their bias-corrected versions. Every estimator runs the row kernel
+(mle._row_estimates); estimate_all with apply_correction then runs the fit
+-> correct half of the pass (mle._fit_and_correct)."""
 
 from dataclasses import dataclass, field, replace
 
 from .exceptions import CorrectionUnavailableError, DegenerateSampleError
-from .mle import _estimate_rows, _row_estimates, _sample_rows
+from .mle import _fit_and_correct, _row_estimates, _sample_rows
 
 # Fitted shapes beyond this get a diagnostic note: the sample is so close to
 # degenerate that the corrections are numerically zero.
@@ -63,7 +63,7 @@ def estimate_all(sample, apply_correction=False):
     support the fit (single observation, or all values equal) raises
     CorrectionUnavailableError carrying the uncorrected report.
     """
-    (tt, tl, at, _), (alpha, _, _, failures), corrected = _estimate_rows(_sample_rows(sample))
+    tt, tl, at, _ = _row_estimates(_sample_rows(sample))
     report = EstimateReport(
         n=sample.n,
         theil_t_hat=float(tt[0]),
@@ -72,6 +72,7 @@ def estimate_all(sample, apply_correction=False):
     )
     if not apply_correction:
         return report
+    (alpha, _, _, failures), corrected = _fit_and_correct(tt, tl, at, sample.n)
     if failures:
         exc = failures[0]
         if isinstance(exc, DegenerateSampleError):

@@ -1,6 +1,5 @@
 """Maximum-likelihood fit of the gamma shape parameter, and the one
-estimate -> fit -> correct pass (_estimate_rows) behind every corrected
-estimate.
+estimate -> fit -> correct pass behind every corrected estimate.
 
 The score equation reduces to ln(alpha) - psi(alpha) = s where s is the
 log-moment gap ln(mean) - mean(log). The left side is strictly decreasing
@@ -10,7 +9,8 @@ The pass works on a 2-D array of samples, one per row, in two halves: the
 row kernel (_row_estimates) gives the three index estimates and the mean;
 then _fit_and_correct fits the shape on the Theil L estimate, which is the
 log-moment gap, and subtracts the closed-form biases at the fitted shapes.
-fit_shape and estimate_all run both halves on one row. The Monte Carlo
+estimate_all runs both halves on one row, the second only when asked to
+correct; fit_shape runs the row kernel and the fit alone. The Monte Carlo
 engine runs the row kernel on each block of replications and the second
 half once over the rows of the whole grid, with one sample size per row.
 """
@@ -204,14 +204,6 @@ def _fit_and_correct(tt, tl, at, n):
     return fit, corrected
 
 
-def _estimate_rows(x):
-    """The estimate -> fit -> correct pass over the 2-D array x, one sample
-    per row: the estimates (theil_t, theil_l, atkinson, mean), then the fit
-    and the corrected values as _fit_and_correct gives them."""
-    estimates = _row_estimates(x)
-    return (estimates, *_fit_and_correct(*estimates[:3], x.shape[1]))
-
-
 def fit_shape(sample):
     """Fit the gamma shape by maximum likelihood.
 
@@ -220,13 +212,15 @@ def fit_shape(sample):
     extra steps). Raises DegenerateSampleError when the sample has no
     dispersion (n < 2 or all observations equal).
     """
-    estimates, (alpha, residual, iterations, failures), _ = _estimate_rows(_sample_rows(sample))
+    _, tl, _, mean = _row_estimates(_sample_rows(sample))
+    # the Theil L estimate is the fit's log-moment gap by definition
+    alpha, residual, iterations, failures = _fit_shapes(tl, sample.n)
     if failures:
         raise failures[0]
     alpha_hat = float(alpha[0])
     return MleResult(
         alpha_hat=alpha_hat,
-        rate_hat=alpha_hat / float(estimates[3][0]),
+        rate_hat=alpha_hat / float(mean[0]),
         iterations=int(iterations[0]),
         residual=float(residual[0]),
     )

@@ -232,6 +232,11 @@ def bias_atkinson(params, n):
     The exponent of the second factor is clamped at zero: convexity of
     ln Gamma makes G >= -L(a), and the clamp keeps the nonpositive sign
     from flipping within rounding noise.
+
+    G tends to -L(a) as n grows, so -L(a) - G cancels: the relative error
+    grows like n * eps, within 6e-10 at n = 1e6 and 1e-6 at n = 1e9 against
+    mpmath (5.2e-4 at a = 1, n = 1e12). From about n = 1e16 no digit is
+    right: -5.3e-19 at a = 0.1, n = 1e20, where the bias is -1.5e-22.
     """
     return float(_bias_atkinson(params.shape, _check_count(n, "n")))
 

@@ -12,6 +12,8 @@ import shlex
 import stat
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -473,6 +475,44 @@ def test_reader_opens_the_file_once_and_never_passes_numpy_a_path(tmp_path, monk
         loaded.clear()
         assert cli._read_observations(str(data))[0] == 1.0, name
         assert (opened, len(loaded)) == ([str(data)], 1), name
+    # the offset of a byte that is not UTF-8, past the first decoded chunk,
+    # is counted by reading the same open file again
+    data = tmp_path / "bad.txt"
+    data.write_bytes(b"1\n" * 5_000 + b"\xff\n")
+    opened.clear()
+    with pytest.raises(DomainError, match="byte 10000: not UTF-8 text"):
+        cli._read_observations(str(data))
+    assert opened == [str(data)]
+
+
+def _read_fifo(fifo, payload):
+    # a FIFO reads as a pipe does and cannot seek; a thread writes it
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(payload,), daemon=True)
+    writer.start()
+    try:
+        return _read_outcome(cli._read_observations, str(fifo))
+    finally:
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+
+
+def test_reader_holds_a_pipe_as_bytes_and_names_a_bad_byte_at_its_offset(tmp_path):
+    values = np.random.default_rng(12).gamma(1.5, size=200_000)
+    payload = "".join(f"{value!r}\n" for value in values.tolist()).encode()
+    tracemalloc.start()
+    try:
+        read = _read_fifo(tmp_path / "good", payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read == values.tobytes()
+    # the pipe's bytes, not a decoded copy of them, are what is held
+    assert peak < 2.5 * len(payload), (peak, len(payload))
+    bad = payload[:20_000] + b"\xff" + payload[20_001:]
+    assert _read_fifo(tmp_path / "bad", bad) == (
+        f"{tmp_path / 'bad'}: byte 20000: not UTF-8 text (invalid start byte)"
+    )
 
 
 def _run_python(*argv, **kwargs):
@@ -556,10 +596,22 @@ def _reference_read_observations(path):
                 scan = cli._scan_incomes if is_csv else cli._scan_lines
                 values = np.array(scan(handle, path), dtype=float)
     except UnicodeDecodeError as exc:
-        raise cli._not_utf8(path, exc) from None
+        raise _reference_not_utf8(path, exc) from None
     if values.size == 0:
         raise DomainError(f"{path}: no observations found")
     return values
+
+
+def _reference_not_utf8(path, exc):
+    # `exc` counts bytes from the start of the chunk being decoded, not of
+    # the file; the file is read again, by its name, from its first byte
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole_file:
+        exc = whole_file
+    return DomainError(f"{path}: byte {exc.start}: not UTF-8 text ({exc.reason})")
 
 
 def _reference_bulk_lines(lines):
@@ -687,6 +739,21 @@ def test_simulate_csv_mode_follows_umask(tmp_path, capsys, umask):
     finally:
         os.umask(previous)
     assert stat.S_IMODE(os.stat(out_path).st_mode) == 0o666 & ~umask
+
+
+def test_write_results_csv_never_sets_the_process_umask(tmp_path, monkeypatch):
+    # setting the umask, even for a moment, changes it for every thread
+    def refuse(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    summaries = run_grid(SimConfig(alphas=(0.5,), ns=(2,), n_sim=3))
+    monkeypatch.setattr(cli.os, "umask", refuse)
+    out_path = tmp_path / "results.csv"
+    cli.write_results_csv(str(out_path), summaries)
+    with open(out_path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == list(CSV_HEADER) and len(rows) == 1 + len(summaries)
+    assert [path.name for path in tmp_path.iterdir()] == ["results.csv"]
 
 
 # sha256 of the default `simulate --seed 42` CSV: any change to the stream

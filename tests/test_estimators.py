@@ -32,7 +32,7 @@ from gammaineq import (
     theil_l_hat,
     theil_t_hat,
 )
-from gammaineq import mle, simulation
+from gammaineq import estimators, mle, simulation
 from gammaineq.mle import _bias_corrected, _row_estimates, _sample_rows
 
 # frozen 40-digit oracle values for the sample {1, 3}
@@ -221,8 +221,9 @@ def test_estimate_all_report_pinned(make_sample, expected):
 
 
 def test_estimate_all_runs_kernel_and_solver_once(monkeypatch):
-    # estimate_all and fit_shape each make one pass; a grid runs the row
-    # kernel once per block and the fit once over all of its rows
+    # estimate_all and fit_shape each make one pass and run no step they do
+    # not return; a grid runs the row kernel once per block and the fit and
+    # correction once over all of its rows
     calls = {}
 
     def count(module, name):
@@ -235,18 +236,25 @@ def test_estimate_all_runs_kernel_and_solver_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(mle, "_row_estimates")
+    count(estimators, "_row_estimates")
     count(simulation, "_row_estimates")
     count(mle, "_fit_shapes")
     count(mle, "_newton")
-    for run, blocks in (
-        (lambda: estimate_all(pinned_gamma_sample(), apply_correction=True).alpha_hat, 1),
-        (lambda: fit_shape(pinned_gamma_sample()).alpha_hat, 1),
+    count(mle, "_bias_corrected")
+    fit = {"_fit_shapes": 1, "_newton": 1}
+    correct = {**fit, "_bias_corrected": 1}
+    for run, expected in (
+        (lambda: estimate_all(pinned_gamma_sample(), apply_correction=True).alpha_hat,
+         {"_row_estimates": 1, **correct}),
+        (lambda: estimate_all(pinned_gamma_sample()).n, {"_row_estimates": 1}),
+        (lambda: fit_shape(pinned_gamma_sample()).alpha_hat, {"_row_estimates": 1, **fit}),
         # n = 10 is one block of 7 replications, n = 20000 three (3, 3, 1)
-        (lambda: simulation.run_grid(simulation.SimConfig(alphas=(1.5,), ns=(10, 20_000), n_sim=7)), 4),
+        (lambda: simulation.run_grid(simulation.SimConfig(alphas=(1.5,), ns=(10, 20_000), n_sim=7)),
+         {"_row_estimates": 4, **correct}),
     ):
         calls.clear()
         assert run()
-        assert calls == {"_row_estimates": blocks, "_fit_shapes": 1, "_newton": 1}
+        assert calls == expected
 
 
 def test_estimate_all_single_observation_raises_with_report():

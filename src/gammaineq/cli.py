@@ -355,7 +355,11 @@ def build_parser():
     )
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.add_argument(
-        "--workers", type=int, default=1, help="process count for cell-level parallelism"
+        "--workers",
+        type=int,
+        default=1,
+        help="processes: the grid's blocks are split into at most this many contiguous "
+        "runs, one per process; the output is identical at any count",
     )
     p_sim.set_defaults(func=cmd_simulate)
     return parser

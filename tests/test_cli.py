@@ -791,6 +791,23 @@ def test_simulate_overflowing_sums_exit_1(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_simulate_worker_error_reaches_the_cli_as_the_serial_one(tmp_path, capsys):
+    # every cell overflows, each naming its own largest observation; the two
+    # pool workers each fail, and the first failure in task order wins, as
+    # it does serially
+    errors = []
+    for workers in ("1", "2"):
+        code, out, err = run_cli(
+            capsys, "simulate", "--alphas", "1.5,2", "--ns", "100,200", "--nsim", "5",
+            "--rate", "1e-306", "--workers", workers, "--out", str(tmp_path / "x.csv"),
+        )
+        assert (code, out) == (1, "")
+        assert "overflows float64" in err and err.count("\n") == 1
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_unwritable_path_exits_1(tmp_path, capsys, monkeypatch):
     calls = []
 

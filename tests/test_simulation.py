@@ -35,8 +35,9 @@ from gammaineq import (
     theil_t_hat,
     theil_t_population,
 )
+from gammaineq import simulation
 from gammaineq.cli import _csv_field
-from gammaineq.simulation import _cell_values, _run_block
+from gammaineq.simulation import _run_block, _run_tasks, _split
 
 # run_cell(1.5, 10, 200, 1.0, 42) means in ESTIMATOR_IDS order
 PINNED_MEANS_15_10_200_SEED42 = (
@@ -145,11 +146,9 @@ def manual_cell(alpha, n, n_sim, seed, alpha_index=0, n_index=0):
 def check_cell_against_manual(alpha, n, n_sim, seed, alpha_index, n_index):
     sizes, manual = manual_cell(alpha, n, n_sim, seed, alpha_index, n_index)
     params = GammaParams(alpha)
-    results = [
-        _run_block(params, n, rows, seed, alpha_index, n_index, block)
-        for block, rows in enumerate(sizes)
-    ]
-    (engine_values,) = _cell_values([n], n_sim, results)
+    engine_values = _run_tasks(
+        [(params, n, rows, seed, alpha_index, n_index, block) for block, rows in enumerate(sizes)]
+    )
     rows = {
         row.estimator: row
         for row in run_cell(alpha, n, n_sim, 1.0, seed, alpha_index=alpha_index, n_index=n_index)
@@ -239,10 +238,56 @@ def test_run_grid_orders_axes_ascending():
     assert rows == reordered
 
 
-def test_run_grid_parallel_matches_serial():
-    # n = 40000 holds one replication per block: five blocks per cell
+@pytest.mark.parametrize("workers", [2, 3, 13])
+def test_run_grid_parallel_matches_serial(workers):
+    # n = 40000 holds one replication per block: five blocks per cell, so
+    # the 12 tasks split into 3 runs at a boundary inside a cell, and 13
+    # workers exceed the task count
     config = SimConfig(alphas=(0.5, 2.0), ns=(5, 40_000), n_sim=5, master_seed=7)
-    assert run_grid(config, workers=2) == run_grid(config, workers=1)
+    assert run_grid(config, workers=workers) == run_grid(config, workers=1)
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 5, 12, 13, 10**9])
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        [(1, 5), (40_000, 1), (40_000, 1), (40_000, 1), (5, 1), (40_000, 1), (40_000, 1)],
+        [(10, 1000), (200, 327), (200, 327), (200, 327), (200, 19)],
+        [(1, 1)],
+        [(3, 7)] * 40,
+    ],
+)
+def test_split_gives_contiguous_nonempty_runs_covering_every_task(sizes, parts):
+    tasks = [(GammaParams(1.5), n, rows, 0, 0, 0, b) for b, (n, rows) in enumerate(sizes)]
+    runs = _split(tasks, parts)
+    assert 1 <= len(runs) <= min(parts, len(tasks))
+    assert all(runs)
+    # concatenated in order, the runs give back every task once
+    assert [task for run in runs for task in run] == tasks
+
+
+@pytest.mark.parametrize("parts, lengths", [(2, [18] * 2), (3, [12] * 3), (36, [1] * 36), (10**9, [1] * 36)])
+def test_split_balances_variates(parts, lengths):
+    tasks = [(GammaParams(1.5), 10, 100, 0, 0, 0, b) for b in range(36)]
+    assert [len(run) for run in _split(tasks, parts)] == lengths
+
+
+@pytest.mark.parametrize("workers, parent_fits", [(1, 1), (2, 0)])
+def test_parent_fits_only_on_the_serial_path(monkeypatch, workers, parent_fits):
+    # with a pool the workers fit and correct; the parent only aggregates.
+    # The serial path fits all 120 rows in one call.
+    config = SimConfig(alphas=(0.5, 2.0), ns=(5, 20), n_sim=30, master_seed=3)
+    serial = run_grid(config)
+    calls = []
+    fit_and_correct = simulation._fit_and_correct
+
+    def counted(*args):
+        calls.append(args)
+        return fit_and_correct(*args)
+
+    monkeypatch.setattr(simulation, "_fit_and_correct", counted)
+    assert run_grid(config, workers=workers) == serial
+    assert len(calls) == parent_fits
 
 
 def test_run_grid_rate_sentinel_equivalence():

@@ -17,6 +17,7 @@ from conftest import numpy_build_note, pinned_gamma_sample
 import gammaineq
 from gammaineq import (
     CorrectionUnavailableError,
+    DegenerateSampleError,
     DomainError,
     EstimateReport,
     GammaParams,
@@ -33,6 +34,7 @@ from gammaineq import (
     theil_t_hat,
 )
 from gammaineq import estimators, mle, simulation
+from gammaineq.cli import main
 from gammaineq.mle import _bias_corrected, _row_estimates, _sample_rows
 
 # frozen 40-digit oracle values for the sample {1, 3}
@@ -273,6 +275,36 @@ def test_estimate_all_degenerate_raises_with_report():
     report = err.value.report
     assert report is not None
     assert report.atkinson_hat == 0.0
+
+
+@pytest.mark.parametrize(
+    "xs, message",
+    [
+        ([3.25], "shape fit needs at least two observations"),
+        ([5.0, 5.0, 5.0], "all observations are (numerically) equal; the fitted shape diverges"),
+    ],
+)
+def test_fit_failures_pinned(tmp_path, capsys, xs, message):
+    # the full type and message of every way a sample's fit can fail, from
+    # fit_shape, estimate_all and `estimate --correct`
+    with pytest.raises(DegenerateSampleError) as err:
+        fit_shape(Sample(xs))
+    assert (type(err.value), str(err.value)) == (DegenerateSampleError, message)
+
+    with pytest.raises(CorrectionUnavailableError) as err:
+        estimate_all(Sample(xs), apply_correction=True)
+    assert str(err.value) == f"correction unavailable: {message}"
+    cause = err.value.__cause__
+    assert (type(cause), str(cause)) == (DegenerateSampleError, message)
+    assert err.value.report == EstimateReport(
+        n=len(xs), theil_t_hat=0.0, theil_l_hat=0.0, atkinson_hat=0.0
+    )
+
+    data = tmp_path / "obs.txt"
+    data.write_text("".join(f"{x!r}\n" for x in xs))
+    code = main(["estimate", str(data), "--correct"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"gammaineq: correction unavailable: {message}\n")
 
 
 def test_estimate_all_near_degenerate_carries_note():

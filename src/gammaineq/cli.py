@@ -373,10 +373,7 @@ def main(argv=None):
     except CorrectionUnavailableError as exc:
         print(f"gammaineq: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, DegenerateSampleError, NoConvergenceError) as exc:
-        print(f"gammaineq: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DomainError, DegenerateSampleError, NoConvergenceError, OSError) as exc:
         print(f"gammaineq: {exc}", file=sys.stderr)
         return 1
 

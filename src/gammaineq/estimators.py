@@ -5,8 +5,10 @@ their bias-corrected versions. Every estimator runs the row kernel
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .exceptions import CorrectionUnavailableError, DegenerateSampleError
-from .mle import _fit_and_correct, _row_estimates, _sample_rows
+from .mle import _fit_and_correct, _fit_error, _row_estimates, _sample_rows
 
 # Fitted shapes beyond this get a diagnostic note: the sample is so close to
 # degenerate that the corrections are numerically zero.
@@ -72,9 +74,9 @@ def estimate_all(sample, apply_correction=False):
     )
     if not apply_correction:
         return report
-    (alpha, _, _, failures), corrected = _fit_and_correct(tt, tl, at, sample.n)
-    if failures:
-        exc = failures[0]
+    alpha, corrected = _fit_and_correct(tt, tl, at, sample.n)
+    if np.isnan(alpha[0]):
+        exc = _fit_error(sample.n, tl[0])
         if isinstance(exc, DegenerateSampleError):
             raise CorrectionUnavailableError(f"correction unavailable: {exc}", report=report) from exc
         raise exc

@@ -11,8 +11,10 @@ then _fit_and_correct fits the shape on the Theil L estimate, which is the
 log-moment gap, and subtracts the closed-form biases at the fitted shapes.
 estimate_all runs both halves on one row, the second only when asked to
 correct; fit_shape runs the row kernel and the fit alone. The Monte Carlo
-engine runs the row kernel on each block of replications and the second
-half once over the rows of the whole grid, with one sample size per row.
+engine runs the row kernel on each block of replications and, in each
+worker's run of blocks, the second half in chunks of at most 2**16 rows,
+with one sample size per row. A failed fit leaves NaN; _fit_error names the
+reason for one sample.
 """
 
 import math
@@ -95,19 +97,26 @@ def _initial_shape(s):
     return (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
 
 
-def _newton(s):
-    """Newton iteration on u = ln(alpha) from the Minka starting point, for
-    every gap in the 1-D array s at once. Returns alpha, residual and
-    iteration arrays and a mask of the converged entries; an entry that
-    leaves the domain or runs out of iterations is not converged."""
-    alpha = _initial_shape(s)
+def _fit_shapes(s, n):
+    """Maximum-likelihood shapes for the 1-D array s of log-moment gaps of
+    samples of size n (an int, or an array with one size per entry), all
+    fitted at once by Newton iteration on u = ln(alpha) from the Minka
+    starting point.
+
+    Returns alpha, residual and iteration arrays; alpha and residual hold
+    NaN where the fit failed, and _fit_error names the reason. An entry with
+    n < 2 or s < 1e-12 is degenerate and never iterated; any other fails
+    only if Newton leaves the domain or runs out of iterations, which no gap
+    of a finite positive sample (s < 1448) reaches.
+    """
+    active = np.flatnonzero((n >= 2) & (s >= _DEGENERATE_S))
+    alpha = np.full(s.shape, np.nan)
+    alpha[active] = _initial_shape(s[active])
     u = np.log(alpha)
-    residual = np.full(s.shape, np.inf)
+    residual = np.full(s.shape, np.nan)
     iterations = np.zeros(s.shape, dtype=np.int64)
-    converged = np.zeros(s.shape, dtype=bool)
     prev_step = np.full(s.shape, np.inf)
     polish = np.zeros(s.shape, dtype=np.int64)
-    active = np.arange(s.size)
     # a step that overflows or divides by zero is caught by the finiteness test
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for iteration in range(_MAX_NEWTON + 1):
@@ -127,8 +136,9 @@ def _newton(s):
                 | (polish[active] >= _MAX_POLISH)
                 | ~can_step
             )
-            converged[active[done]] = True
             moving = ~done & can_step
+            failed = active[~(done | moving)]
+            alpha[failed] = residual[failed] = np.nan
             going = active[moving]
             iterations[going] += 1
             u[going] = u_next[moving]
@@ -136,44 +146,21 @@ def _newton(s):
             prev_step[going] = step[moving]
             polish[going] += within[moving]
             active = going
-    return alpha, residual, iterations, converged
+    return alpha, residual, iterations
 
 
-def _fit_shapes(s, n):
-    """Maximum-likelihood shapes for the 1-D array s of log-moment gaps of
-    samples of size n (an int, or an array with one size per entry), all
-    fitted by one vectorised Newton iteration.
-
-    Returns alpha, residual and iteration arrays and a dict that maps the
-    index of each entry whose fit failed to its error; failed entries hold
-    NaN. An entry is degenerate (DegenerateSampleError) when its n < 2 or
-    s < 1e-12; otherwise it fails (NoConvergenceError) only if Newton does
-    not converge, which no gap of a finite positive sample (s < 1448)
-    reaches.
-    """
-    alpha = np.full(s.shape, np.nan)
-    residual = np.full(s.shape, np.nan)
-    iterations = np.zeros(s.shape, dtype=np.int64)
-    too_few = np.broadcast_to(n < 2, s.shape)
-    equal = (s < _DEGENERATE_S) & ~too_few
-    failures = {}
-    for degenerate, message in (
-        (too_few, "shape fit needs at least two observations"),
-        (equal, "all observations are (numerically) equal; the fitted shape diverges"),
-    ):
-        if degenerate.any():
-            exc = DegenerateSampleError(message)
-            failures.update(dict.fromkeys(np.flatnonzero(degenerate).tolist(), exc))
-    fit = np.flatnonzero(~(too_few | equal))
-    alpha[fit], residual[fit], iterations[fit], converged = _newton(s[fit])
-    unconverged = fit[~converged]
-    if unconverged.size:
-        alpha[unconverged] = residual[unconverged] = np.nan
-        exc = NoConvergenceError(
-            f"Newton found no root with residual <= {_RESIDUAL_TOL} in {_MAX_NEWTON} steps"
+def _fit_error(n, s):
+    """The error of the failed fit of one sample of size n and log-moment
+    gap s, as _fit_shapes left it NaN."""
+    if n < 2:
+        return DegenerateSampleError("shape fit needs at least two observations")
+    if s < _DEGENERATE_S:
+        return DegenerateSampleError(
+            "all observations are (numerically) equal; the fitted shape diverges"
         )
-        failures.update(dict.fromkeys(unconverged.tolist(), exc))
-    return alpha, residual, iterations, failures
+    return NoConvergenceError(
+        f"Newton found no root with residual <= {_RESIDUAL_TOL} in {_MAX_NEWTON} steps"
+    )
 
 
 def _bias_corrected(tt, tl, at, alpha, n):
@@ -190,18 +177,18 @@ def _bias_corrected(tt, tl, at, alpha, n):
 def _fit_and_correct(tt, tl, at, n):
     """The fit -> correct half of the pass, over 1-D arrays of the row
     kernel's Theil T, Theil L and Atkinson estimates of samples of size n
-    (an int, or an array with one size per row): the fit (alpha, residual,
-    iterations, failures) as _fit_shapes gives it, and a (3, rows) array of
-    the corrected theil_t, theil_l and atkinson, NaN in rows whose fit
-    failed. Every row is fitted and corrected on its own, so a row's values
-    do not depend on the other rows it is passed with."""
+    (an int, or an array with one size per row): the fitted shapes, NaN
+    where the fit failed, and a (3, rows) array of the corrected theil_t,
+    theil_l and atkinson, NaN in those same rows. Every row is fitted and
+    corrected on its own, so a row's values do not depend on the other rows
+    it is passed with."""
     # the Theil L estimate is the fit's log-moment gap by definition
-    fit = _fit_shapes(tl, n)
-    ok = ~np.isnan(fit[0])
+    alpha = _fit_shapes(tl, n)[0]
+    ok = ~np.isnan(alpha)
     corrected = np.full((3, tl.size), np.nan)
-    n_ok = n[ok] if np.ndim(n) else n
-    corrected[:, ok] = _bias_corrected(tt[ok], tl[ok], at[ok], fit[0][ok], n_ok)
-    return fit, corrected
+    n = np.broadcast_to(n, tl.shape)
+    corrected[:, ok] = _bias_corrected(tt[ok], tl[ok], at[ok], alpha[ok], n[ok])
+    return alpha, corrected
 
 
 def fit_shape(sample):
@@ -214,9 +201,9 @@ def fit_shape(sample):
     """
     _, tl, _, mean = _row_estimates(_sample_rows(sample))
     # the Theil L estimate is the fit's log-moment gap by definition
-    alpha, residual, iterations, failures = _fit_shapes(tl, sample.n)
-    if failures:
-        raise failures[0]
+    alpha, residual, iterations = _fit_shapes(tl, sample.n)
+    if np.isnan(alpha[0]):
+        raise _fit_error(sample.n, tl[0])
     alpha_hat = float(alpha[0])
     return MleResult(
         alpha_hat=alpha_hat,

@@ -310,24 +310,32 @@ def _gamma_variates(stream, shape, count):
     return u
 
 
+def _scaled_variates(stream, params, count):
+    draws = _gamma_variates(stream, params.shape, count)
+    # an overflow is caught below, by the finiteness test
+    with np.errstate(over="ignore"):
+        draws /= params.rate
+    if not np.isfinite(draws).all():
+        raise DomainError(
+            f"a gamma draw overflows float64 at shape = {params.shape:g}, rate = {params.rate:g}"
+        )
+    return draws
+
+
 def sample_gamma(params, count, stream):
     """Draw `count` i.i.d. Gamma(shape, rate) observations from `stream`.
 
     Deterministic given the stream state. Draws that underflow to zero
     (possible only for extreme parameters) are redrawn, so the returned
-    Sample is always valid.
+    Sample is always valid. A draw that overflows float64 raises
+    DomainError: redrawing it would condition the sample.
     """
     _check_count(count, "count")
     if not isinstance(stream, np.random.Generator):
         raise DomainError(f"stream must be a numpy Generator, got {type(stream).__name__}")
-    draws = _gamma_variates(stream, params.shape, count)
-    if params.rate != 1.0:
-        draws /= params.rate
-    bad = ~(np.isfinite(draws) & (draws > 0.0))
-    while bad.any():
-        redrawn = _gamma_variates(stream, params.shape, int(bad.sum()))
-        if params.rate != 1.0:
-            redrawn /= params.rate
-        draws[bad] = redrawn
-        bad = ~(np.isfinite(draws) & (draws > 0.0))
+    draws = _scaled_variates(stream, params, count)
+    zero = draws == 0.0
+    while zero.any():
+        draws[zero] = _scaled_variates(stream, params, int(zero.sum()))
+        zero = draws == 0.0
     return Sample._adopt(draws)

@@ -56,11 +56,12 @@ _MASK64 = (1 << 64) - 1
 _BLOCK_VARIATES = 2**16
 
 
-def _check_seed(master_seed):
-    master_seed = _check_index(master_seed, "master_seed")
-    if master_seed > _MASK64:
-        raise DomainError(f"master_seed must fit in 64 unsigned bits, got {master_seed}")
-    return master_seed
+def _check_word(value, name):
+    """value as a Python int in [0, 2**64 - 1], on the terms of _check_index."""
+    value = _check_index(value, name)
+    if value > _MASK64:
+        raise DomainError(f"{name} must fit in 64 unsigned bits, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ class SimConfig:
         n_sim = _check_count(self.n_sim, "n_sim")
         if self.rate != RATE_ALPHA:
             GammaParams(1.0, self.rate)
-        master_seed = _check_seed(self.master_seed)
+        master_seed = _check_word(self.master_seed, "master_seed")
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "n_sim", n_sim)
@@ -138,13 +139,13 @@ def derive_stream(master_seed, alpha_index, n_index, block):
     so distinct (seed, alpha_index, n_index, block) tuples give distinct
     streams with no shared state.
     """
-    h = _check_seed(master_seed)
+    h = _check_word(master_seed, "master_seed")
     for word in (
-        _check_index(alpha_index, "alpha_index"),
-        _check_index(n_index, "n_index"),
-        _check_index(block, "block"),
+        _check_word(alpha_index, "alpha_index"),
+        _check_word(n_index, "n_index"),
+        _check_word(block, "block"),
     ):
-        h = _mix64(h ^ (word & _MASK64))
+        h = _mix64(h ^ word)
     key = h | (_mix64(h) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -264,9 +265,9 @@ def run_cell(alpha, n, n_sim, rate, master_seed, alpha_index=0, n_index=0):
     params = GammaParams(alpha, rate)
     n = _check_count(n, "n")
     n_sim = _check_count(n_sim, "n_sim")
-    master_seed = _check_seed(master_seed)
-    alpha_index = _check_index(alpha_index, "alpha_index")
-    n_index = _check_index(n_index, "n_index")
+    master_seed = _check_word(master_seed, "master_seed")
+    alpha_index = _check_word(alpha_index, "alpha_index")
+    n_index = _check_word(n_index, "n_index")
     return _run_cells([(alpha_index, n_index, params, n)], n_sim, master_seed, 1)
 
 

@@ -225,7 +225,8 @@ def test_estimate_all_report_pinned(make_sample, expected):
 def test_estimate_all_runs_kernel_and_solver_once(monkeypatch):
     # estimate_all and fit_shape each make one pass and run no step they do
     # not return; a grid runs the row kernel once per block and the fit and
-    # correction once over all of its rows
+    # correction once over all of its rows; no error is built for a fit that
+    # succeeds
     calls = {}
 
     def count(module, name):
@@ -241,9 +242,10 @@ def test_estimate_all_runs_kernel_and_solver_once(monkeypatch):
     count(estimators, "_row_estimates")
     count(simulation, "_row_estimates")
     count(mle, "_fit_shapes")
-    count(mle, "_newton")
+    count(mle, "_fit_error")
+    count(estimators, "_fit_error")
     count(mle, "_bias_corrected")
-    fit = {"_fit_shapes": 1, "_newton": 1}
+    fit = {"_fit_shapes": 1}
     correct = {**fit, "_bias_corrected": 1}
     for run, expected in (
         (lambda: estimate_all(pinned_gamma_sample(), apply_correction=True).alpha_hat,

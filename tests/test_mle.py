@@ -29,7 +29,7 @@ from gammaineq import (
     sample_gamma,
     theil_l_hat,
 )
-from gammaineq.mle import _MAX_NEWTON, _fit_and_correct, _fit_shapes, _row_estimates
+from gammaineq.mle import _MAX_NEWTON, _fit_and_correct, _fit_error, _fit_shapes, _row_estimates
 
 # frozen 40-digit oracle values for the sample {1, 2, 3}
 S_1_2_3 = 0.09589402415059364  # ln 2 - (1/3) ln 6
@@ -128,8 +128,8 @@ def test_fit_converges_fully_against_brentq():
         fits.append((s, fit_shape(sample).alpha_hat))
     # plus gaps across the whole reachable range (see the test below)
     gaps = np.logspace(-12.0, math.log10(2000.0), 24)
-    alpha, _, _, failures = _fit_shapes(gaps, 10)
-    assert not failures
+    alpha = _fit_shapes(gaps, 10)[0]
+    assert not np.isnan(alpha).any()
     fits.extend(zip(gaps.tolist(), alpha.tolist()))
     for s, got in fits:
         want = optimize.brentq(score, 1e-12, 1e12, args=(s,), xtol=1e-300, rtol=4 * np.finfo(float).eps)
@@ -140,8 +140,7 @@ def test_newton_fits_every_reachable_gap():
     # A sample's gap is at most ln(max/min): a sample that passes the row
     # kernel's overflow check has max < 2.6e305 and min >= 5e-324, so s < 1448.
     gaps = np.logspace(-12.0, math.log10(2000.0), 100_000)
-    alpha, residual, iterations, failures = _fit_shapes(gaps, 10)
-    assert not failures
+    alpha, residual, iterations = _fit_shapes(gaps, 10)
     assert np.isfinite(alpha).all() and (alpha > 0.0).all()
     assert residual.max() <= 1e-10
     assert iterations.max() <= _MAX_NEWTON
@@ -154,11 +153,15 @@ def test_unconverged_fit_holds_nan_and_no_convergence_error():
     # far beyond any reachable gap one ulp of s exceeds the 1e-10 residual
     # tolerance, so Newton runs out of steps; the Monte Carlo engine masks
     # such rows by their NaN alpha
-    alpha, residual, iterations, failures = _fit_shapes(np.array([0.5, 1e8]), 10)
+    alpha, residual, iterations = _fit_shapes(np.array([0.5, 1e8]), 10)
     assert np.isfinite(alpha[0]) and residual[0] <= 1e-10
     assert np.isnan(alpha[1]) and np.isnan(residual[1])
-    assert list(failures) == [1]
-    assert isinstance(failures[1], NoConvergenceError)
+    assert iterations[1] == _MAX_NEWTON
+    exc = _fit_error(10, 1e8)
+    assert (type(exc), str(exc)) == (
+        NoConvergenceError,
+        "Newton found no root with residual <= 1e-10 in 24 steps",
+    )
 
 
 @pytest.mark.parametrize(
@@ -231,7 +234,9 @@ def test_fit_and_correct_is_the_same_in_any_batch(seed, rows, cuts):
         estimates.append(_row_estimates(x[np.newaxis])[:3])
     tt, tl, at = (np.concatenate(column) for column in zip(*estimates))
     n = np.array([n for n, _ in rows])
-    (alpha, residual, iterations, failures), corrected = _fit_and_correct(tt, tl, at, n)
+    alpha, corrected = _fit_and_correct(tt, tl, at, n)
+    fit_alpha, residual, iterations = _fit_shapes(tl, n)
+    assert same_bits(alpha, fit_alpha)
 
     parts = []
     bounds = [0, *sorted(min(cut, n.size) for cut in cuts), n.size]
@@ -241,18 +246,21 @@ def test_fit_and_correct_is_the_same_in_any_batch(seed, rows, cuts):
         if part_n.size and (part_n == part_n[0]).all():
             part_n = int(part_n[0])
         part = slice(start, stop)
-        parts.append((start, _fit_and_correct(tt[part], tl[part], at[part], part_n)))
-    assert same_bits(alpha, np.concatenate([fit[0] for _, (fit, _) in parts]))
-    assert same_bits(residual, np.concatenate([fit[1] for _, (fit, _) in parts]))
-    assert np.array_equal(iterations, np.concatenate([fit[2] for _, (fit, _) in parts]))
-    assert same_bits(corrected, np.concatenate([values for _, (_, values) in parts], axis=1))
-    joined = {start + i: exc for start, (fit, _) in parts for i, exc in fit[3].items()}
-    assert sorted(joined) == sorted(failures)
-    for i, exc in failures.items():
-        assert (type(exc), str(exc)) == (type(joined[i]), str(joined[i]))
-        # a row of one observation is degenerate for that reason alone
+        parts.append((part, part_n, _fit_and_correct(tt[part], tl[part], at[part], part_n)))
+    assert same_bits(alpha, np.concatenate([part_alpha for _, _, (part_alpha, _) in parts]))
+    assert same_bits(corrected, np.concatenate([values for _, _, (_, values) in parts], axis=1))
+    fits = [_fit_shapes(tl[part], part_n) for part, part_n, _ in parts]
+    assert same_bits(residual, np.concatenate([fit[1] for fit in fits]))
+    assert np.array_equal(iterations, np.concatenate([fit[2] for fit in fits]))
+    # the failed rows are exactly the degenerate ones: no Newton fit fails
+    # on a sample, and a row of one observation fails for that reason alone
+    failed = np.flatnonzero(np.isnan(alpha))
+    assert failed.tolist() == np.flatnonzero((n < 2) | (tl < 1e-12)).tolist()
+    assert np.isnan(corrected[:, failed]).all() and not np.isnan(np.delete(corrected, failed, 1)).any()
+    for i in failed:
+        exc = _fit_error(int(n[i]), tl[i])
+        assert type(exc) is DegenerateSampleError
         assert ("two observations" in str(exc)) == (n[i] < 2)
-    assert np.isnan(alpha).sum() == len(failures)
 
 
 # the row kernel as it was when every step allocated its own temporary; the

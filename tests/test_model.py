@@ -434,6 +434,15 @@ def test_sampler_distribution_ks(alpha):
     assert result.pvalue > 1e-4
 
 
+@pytest.mark.parametrize("rate", [1e-308, 1e-309])
+def test_sampler_refuses_draws_that_overflow(rate):
+    # a third of Gamma(1.5) draws exceed 1.8 and overflow on division by
+    # 1e-308; redrawing them would condition the sample on small values
+    with pytest.raises(DomainError) as err:
+        sample_gamma(GammaParams(1.5, rate), 1000, derive_stream(1, 0, 0, 0))
+    assert str(err.value) == f"a gamma draw overflows float64 at shape = 1.5, rate = {rate:g}"
+
+
 def test_sampler_validation():
     with pytest.raises(DomainError):
         sample_gamma(GammaParams(1.0), 0, derive_stream(1, 0, 0, 0))

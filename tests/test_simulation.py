@@ -85,6 +85,23 @@ def test_derive_stream_validation():
             derive_stream(0, 0, 0, bad)
 
 
+def test_derive_stream_coordinates_are_64_bit_words():
+    # 2**64 - 1 is the largest coordinate; one more is refused, not wrapped
+    # onto index 0
+    top = (1 << 64) - 1
+    base = derive_stream(42, 0, 0, 0).random(4)
+    for at, name in enumerate(("master_seed", "alpha_index", "n_index", "block")):
+        args = [42, 0, 0, 0]
+        args[at] = top
+        assert not np.array_equal(base, derive_stream(*args).random(4))
+        args[at] = top + 1
+        with pytest.raises(DomainError) as err:
+            derive_stream(*args)
+        assert str(err.value) == f"{name} must fit in 64 unsigned bits, got {top + 1}"
+    with pytest.raises(DomainError, match="alpha_index must fit in 64 unsigned bits"):
+        run_cell(1.5, 5, 4, 1.0, 42, alpha_index=2**64 + 3)
+
+
 def test_run_cell_deterministic():
     first = run_cell(1.5, 5, 40, 1.0, 99, alpha_index=1, n_index=2)
     second = run_cell(1.5, 5, 40, 1.0, 99, alpha_index=1, n_index=2)

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 domain or data error, 2 usage error,
 """
 
 import argparse
+import concurrent.futures
 import csv
 import dataclasses
 import errno
@@ -51,6 +52,19 @@ from .simulation import (
 
 CSV_HEADER = tuple(field.name for field in dataclasses.fields(SimSummary))
 
+# A one-value-per-line file is parsed in a pool of k = min(available CPUs,
+# size // _RANGE_BYTES) processes when k > 1: below twice this size,
+# importing multiprocessing and starting the pool cost about what a second
+# CPU saves.
+_RANGE_BYTES = 2 * 2**20
+
+# The file is cut into this many ranges per pool process, handed out in
+# turn, so that a process the host slows down parses fewer of them.
+_RANGES_PER_WORKER = 4
+
+# How far _cuts reads at a time looking for a newline.
+_SCAN_BYTES = 2**16
+
 
 def _fmt(value):
     # human-readable: 12 significant digits, trailing zeros kept
@@ -90,14 +104,21 @@ def _read_observations(path):
 
     The file is opened once, and the open file, never its path, is handed
     to numpy's C text reader (`np.loadtxt`). A file that cannot seek, such
-    as a pipe, is held in memory as bytes. Only when numpy's read fails, or
-    finds a value that is not finite and positive, is the file read again
-    from the start, line by line (`_scan_lines`, `_scan_incomes`). What
-    reaches the scan: any invalid observation, a line of two numbers, a
-    short CSV row or a CSV row of blank fields, and spellings that `float`
-    accepts but numpy does not, such as `1_000` or non-ASCII digits. The
-    scan raises the DomainError naming the line of the first invalid
-    observation, or returns the values if there is none.
+    as a pipe, is held in memory as bytes. A one-value-per-line file of at
+    least twice `_RANGE_BYTES` (4 MiB; a smaller one parses no faster in a
+    pool on a 2-core machine) is cut, just after newlines, into byte ranges
+    that a pool of one process per available CPU parses, each reading its
+    ranges from the inherited open file (`_read_lines`). Smaller files,
+    pipes and CSV input are parsed here in one pass. Values and errors are
+    the same at any CPU count. Only when numpy's read fails, or finds a
+    value that is not finite and positive, is the whole file read again
+    from the start, line by line (`_scan_lines`,
+    `_scan_incomes`). What reaches the scan: any invalid observation, a
+    line of two numbers, a short CSV row or a CSV row of blank fields, and
+    spellings that `float` accepts but numpy does not, such as `1_000` or
+    non-ASCII digits. The scan raises the DomainError naming the line of
+    the first invalid observation, or returns the values if there is none.
+    A byte that is not UTF-8 is named by its offset in the whole input.
 
     numpy's reader accepts two kinds of CSV file that the scan rejects: an
     income with the ASCII separator controls U+001C to U+001F around it,
@@ -110,27 +131,26 @@ def _read_observations(path):
             first = next(filter(str.strip, handle), None)
             if first is None:
                 raise DomainError(f"{path}: no observations found")
-            lines = itertools.chain([first], handle)
             # a first line the csv module rejects is reported by the CSV scan
             is_csv = True
             try:
                 column = _income_column(next(csv.reader([first])))
                 is_csv = column is not None
-                with warnings.catch_warnings():
-                    # a header with no rows: reported below as no observations
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                    # comments=None: numpy would otherwise read `1.5#x` as 1.5
-                    if is_csv:
-                        # skip the header, whose `income` column is given, up
-                        # to the end of its last quoted field
-                        next(csv.reader(lines))
+                if is_csv:
+                    lines = itertools.chain([first], handle)
+                    # skip the header, whose `income` column is given, up
+                    # to the end of its last quoted field
+                    next(csv.reader(lines))
+                    with warnings.catch_warnings():
+                        # a header with no rows: reported below as no observations
+                        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                        # comments=None: numpy would otherwise read `1.5#x` as 1.5
                         values = np.loadtxt(
                             lines, dtype=float, comments=None, delimiter=",", quotechar='"',
                             usecols=column, ndmin=1,
                         )
-                    else:
-                        values = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
-                        values = values[:, 0] if values.shape[1] == 1 else None
+                else:
+                    values = _read_lines(source)
             except UnicodeDecodeError:
                 raise
             except (ValueError, csv.Error):
@@ -145,6 +165,136 @@ def _read_observations(path):
     if values.size == 0:
         raise DomainError(f"{path}: no observations found")
     return values
+
+
+def _read_lines(source):
+    """The values of a one-value-per-line input, `source` being the open file
+    or a pipe's held bytes, or None if numpy's reader fails on any line.
+
+    With k = min(available CPUs, size // _RANGE_BYTES) > 1, a file is cut
+    into _RANGES_PER_WORKER * k ranges (`_cuts`) that a pool of k processes
+    parses (`_read_file_ranges`). Otherwise, and when any range fails, the
+    input is parsed here as one range: which of an invalid line and a byte
+    that is not UTF-8 is met first can depend on how far numpy reads ahead,
+    and the single pass decides as it always has. A line's value does not
+    depend on where its range begins, so the values are the ones a single
+    pass gives."""
+    if not isinstance(source, io.BytesIO):
+        fd = source.fileno()
+        stat = os.fstat(fd)
+        # the CPUs this process may run on; a platform without the call gets one range
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        workers = min(cpus, stat.st_size // _RANGE_BYTES)
+        cuts = _cuts(fd, stat.st_size, _RANGES_PER_WORKER * workers if workers > 1 else 1)
+        if len(cuts) > 2:
+            values = _read_file_ranges(fd, stat, cuts, workers)
+            if values is not None:
+                return values
+    source.seek(0)
+    return _read_range(source, True)
+
+
+def _read_file_ranges(fd, stat, cuts, workers):
+    """The values of the ranges between `cuts` of the open file `fd`, parsed
+    by a pool of `workers` processes, which take them in turn, while this
+    one waits (numpy's reader holds the interpreter lock); or None if any
+    range fails. A worker writes a range's values to an unnamed spill file
+    at 8 * the range's first byte, which no value of an earlier range
+    reaches, and returns their count; they are read back here straight into
+    one array, in range order. Values sent back through the pool cost this
+    process about 2 MiB more peak memory on a 1M-row file."""
+    with tempfile.TemporaryFile() as spill:
+        # looked up here, so importing the package does not load multiprocessing
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            try:
+                counts = list(
+                    pool.map(
+                        _read_file_range,
+                        itertools.repeat(fd), itertools.repeat(stat), itertools.repeat(spill.fileno()),
+                        cuts, cuts[1:],
+                    )
+                )
+            except UnicodeDecodeError:
+                return None
+        if None in counts:
+            return None
+        values = np.empty(sum(counts))
+        for start, part in zip(cuts, np.split(values, np.cumsum(counts[:-1]))):
+            spill.seek(8 * start)
+            spill.readinto(part)
+    return values
+
+
+def _cuts(fd, size, parts):
+    """Offsets 0 < c1 < ... < size cutting the open file `fd` of `size`
+    bytes into at most `parts` ranges of about equal size, each cut just
+    after a newline, so that no line, CRLF pair or UTF-8 character is
+    split. With fewer than two parts, [0, size]."""
+    cuts = [0]
+    for i in range(1, parts):
+        at = max(size * i // parts, cuts[-1])
+        while at < size:
+            found = os.pread(fd, _SCAN_BYTES, at).find(b"\n")
+            if found >= 0:
+                cuts.append(at + found + 1)
+                break
+            at += _SCAN_BYTES
+        else:
+            # no newline after `at`: no later cut either
+            break
+    return [cut for cut in cuts if cut < size] + [size]
+
+
+def _read_file_range(fd, stat, spill, start, stop):
+    """In a pool process: _read_range of bytes [start, stop) of the open
+    file `fd`, written to the open file `spill` at 8 * start; returns the
+    number of values, or None where _read_range does. A pool that does not
+    fork (Python >= 3.14 defaults to forkserver) has another file, or none,
+    at `fd`; then this returns None, and the parent reads the input itself."""
+    try:
+        if not os.path.samestat(os.fstat(fd), stat):
+            return None
+    except OSError:
+        return None
+    # the range's bytes, read at their offset: the file's offset, which
+    # forked processes share, never moves
+    chunks = []
+    at = start
+    while at < stop and (chunk := os.pread(fd, stop - at, at)):
+        chunks.append(chunk)
+        at += len(chunk)
+    values = _read_range(io.BytesIO(b"".join(chunks)), start == 0)
+    if values is None:
+        return None
+    data, at = memoryview(values).cast("B"), 8 * start
+    while data:
+        written = os.pwrite(spill, data, at)
+        data, at = data[written:], at + written
+    return values.size
+
+
+def _read_range(binary, first):
+    """The values of one range of a one-value-per-line input, read from the
+    binary stream `binary`: from the start of the input if `first`, where a
+    byte-order mark is skipped, else from just after a newline. Newlines
+    are translated as `open` does. Returns None if numpy's reader fails or
+    a line holds more than one number; a byte that is not UTF-8 raises
+    UnicodeDecodeError."""
+    text = io.TextIOWrapper(binary, encoding="utf-8-sig" if first else "utf-8")
+    try:
+        with warnings.catch_warnings():
+            # a range of blank lines
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # comments=None: numpy would otherwise read `1.5#x` as 1.5
+            values = np.loadtxt(text, dtype=float, comments=None, ndmin=2)
+    except UnicodeDecodeError:
+        raise
+    except ValueError:
+        return None
+    finally:
+        # leaves `binary` open for its owner
+        text.detach()
+    return values[:, 0] if values.shape[1] == 1 else None
 
 
 def _income_column(header):

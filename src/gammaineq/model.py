@@ -312,6 +312,18 @@ def _gamma_variates(stream, shape, count):
 
 def _scaled_variates(stream, params, count):
     draws = _gamma_variates(stream, params.shape, count)
+    if params.rate > 1.0:
+        # rounding the quotient is monotone, so if the division takes any
+        # normal draw below the normal range, or any nonzero one to zero,
+        # it does so to the smallest; that would round or redraw it, and
+        # either biases the sample
+        normal = np.min(draws, where=draws >= sys.float_info.min, initial=np.inf)
+        nonzero = np.min(draws, where=draws > 0.0, initial=np.inf)
+        if normal / params.rate < sys.float_info.min or nonzero / params.rate == 0.0:
+            raise DomainError(
+                "a gamma draw falls below the normal float64 range "
+                f"at shape = {params.shape:g}, rate = {params.rate:g}"
+            )
     # an overflow is caught below, by the finiteness test
     with np.errstate(over="ignore"):
         draws /= params.rate
@@ -326,9 +338,11 @@ def sample_gamma(params, count, stream):
     """Draw `count` i.i.d. Gamma(shape, rate) observations from `stream`.
 
     Deterministic given the stream state. Draws that underflow to zero
-    (possible only for extreme parameters) are redrawn, so the returned
-    Sample is always valid. A draw that overflows float64 raises
-    DomainError: redrawing it would condition the sample.
+    before the division by the rate (possible only at tiny shapes) are
+    redrawn, so the returned Sample is always valid. A draw that overflows
+    float64, and a rate that takes a normal draw below the normal float64
+    range (2**-1022) or a nonzero draw to zero, raise DomainError:
+    rounding or redrawing those draws would bias the sample.
     """
     _check_count(count, "count")
     if not isinstance(stream, np.random.Generator):

@@ -1,9 +1,12 @@
 """Command-line interface: output formats, exit codes, file parsing, and
 byte-stable CSV export."""
 
+import concurrent.futures
 import csv
 import hashlib
+import io
 import itertools
+import multiprocessing
 import operator
 import os
 import pathlib
@@ -536,11 +539,22 @@ def _run_module(*argv, **kwargs):
     return _run_python("-m", "gammaineq", *argv, **kwargs)
 
 
-def test_importing_the_cli_loads_no_multiprocessing():
+def test_importing_the_cli_loads_no_multiprocessing(tmp_path):
     # estimate and a serial simulate never start a pool; the pool's module
     # and multiprocessing are imported on first use
     result = _run_python("-c", "import sys, gammaineq.cli; print('multiprocessing' in sys.modules)")
     assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
+    # nor does estimate on a file below twice the range size, parsed here
+    # as one range: a small input pays for no pool
+    data = tmp_path / "obs.txt"
+    data.write_text("1\n3\n" * 1000)
+    script = (
+        "import sys; from gammaineq import cli; code = cli.main(sys.argv[1:]); "
+        "print('multiprocessing' in sys.modules); sys.exit(code)"
+    )
+    result = _run_python("-c", script, "estimate", "--correct", str(data))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.startswith("n = 2000\n") and result.stdout.endswith("\nFalse\n")
 
 
 def test_estimate_header_only_csv_prints_only_the_error(tmp_path):
@@ -658,6 +672,159 @@ def test_reader_matches_the_reference_reader(tmp_path, bom, header, body):
         data.write_bytes(data.read_bytes().replace(b"\x1c", b" "))
         reference = _read_outcome(_reference_read_observations, str(data))
     assert live == reference, text
+
+
+class _InProcessPool:
+    """A stand-in for ProcessPoolExecutor that runs each task here, in order."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    map = staticmethod(map)
+
+
+def _newline_ends(payload):
+    # every offset just after a newline, short of the end: where a range may begin
+    return [i + 1 for i, byte in enumerate(payload[:-1]) if byte == ord("\n")]
+
+
+def _ranges_outcome(payload, cuts):
+    # the values of the ranges between `cuts`, joined, or "fails" if any
+    # range fails as _read_lines sees it: None, or a byte that is not UTF-8
+    try:
+        parts = [cli._read_range(io.BytesIO(payload[a:b]), a == 0) for a, b in zip(cuts, cuts[1:])]
+    except UnicodeDecodeError:
+        return "fails"
+    return "fails" if any(part is None for part in parts) else np.concatenate(parts).tobytes()
+
+
+def _read_in_ranges(monkeypatch, path, cuts):
+    # the reader, its one-value-per-line files cut at `cuts` and the ranges
+    # read here, one after another
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_cuts", lambda fd, size, parts: [0, *cuts, size])
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+        return _read_outcome(cli._read_observations, path)
+
+
+RANGE_TOKENS = [token.encode() for token in BODY_TOKENS] + ["\ufeff".encode(), b"\xff"]
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    bom=st.booleans(),
+    body=st.lists(st.sampled_from(RANGE_TOKENS), max_size=30).map(b"".join),
+    data=st.data(),
+)
+def test_ranges_cut_after_any_newlines_read_as_one_range(tmp_path, monkeypatch, bom, body, data):
+    payload = (b"\xef\xbb\xbf" if bom else b"") + body
+    cuts = sorted(data.draw(st.sets(st.sampled_from(_newline_ends(payload) or [0]))) - {0})
+    # the range function: the joined ranges hold the one range's values, or
+    # both fail
+    assert _ranges_outcome(payload, [0, *cuts, len(payload)]) == _ranges_outcome(payload, [0, len(payload)])
+    # the reader: the same values or the same error as one range gives
+    path = tmp_path / "obs.txt"
+    path.write_bytes(payload)
+    assert _read_in_ranges(monkeypatch, str(path), cuts) == _read_outcome(cli._read_observations, str(path))
+
+
+@pytest.mark.parametrize(
+    "payload, expected",
+    [
+        (b"\xef\xbb\xbf1.5\n2\n3\n", [1.5, 2.0, 3.0]),
+        (b"1\r\n2\r3\r\n4\n5\r6\n", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+        (b"1\n\n\n2\n \n\t\n3", [1.0, 2.0, 3.0]),
+        ("1\n\ufeff2\n3\n".encode(), "line 2: could not parse observation '\\ufeff2'"),
+        (b"1\n2\n3\n-4\n", "line 4: observation must be strictly positive and finite, got -4"),
+        (b"1\n2\n3\n\xff4\n", "byte 6: not UTF-8 text (invalid start byte)"),
+    ],
+    ids=["bom", "crlf-and-lone-cr", "blank-lines-at-cuts", "bom-char-starts-a-range",
+         "invalid-in-last-range", "not-utf8-in-last-range"],
+)
+def test_every_choice_of_cuts_reads_as_one_range(tmp_path, monkeypatch, payload, expected):
+    path = tmp_path / "obs.txt"
+    path.write_bytes(payload)
+    if isinstance(expected, str):
+        expected = f"{path}: {expected}"
+    else:
+        expected = np.array(expected).tobytes()
+    assert _read_outcome(cli._read_observations, str(path)) == expected
+    ends = _newline_ends(payload)
+    for count in range(1, len(ends) + 1):
+        for cuts in itertools.combinations(ends, count):
+            assert _read_in_ranges(monkeypatch, str(path), list(cuts)) == expected, cuts
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 7])
+@pytest.mark.parametrize(
+    "payload",
+    [b"", b"1", b"1\n", b"1\n2\n3\n4\n", b"12345678901\n2\n", b"1\n" + b"2" * 40 + b"\n3\n", b"\n\n\n\n"],
+)
+def test_cuts_fall_just_after_newlines(tmp_path, monkeypatch, payload, parts):
+    # a 4-byte look-ahead, so that a long line takes several reads
+    monkeypatch.setattr(cli, "_SCAN_BYTES", 4)
+    path = tmp_path / "obs.txt"
+    path.write_bytes(payload)
+    with open(path, "rb") as file:
+        cuts = cli._cuts(file.fileno(), len(payload), parts)
+    assert cuts[0] == 0 and cuts[-1] == len(payload)
+    assert cuts == sorted(set(cuts)) or payload == b""
+    assert len(cuts) - 1 <= max(parts, 1)
+    assert all(payload[cut - 1 : cut] == b"\n" for cut in cuts[1:-1])
+
+
+# numpy's "input contained no data" warning for the all-blank range, if a
+# worker did not filter it, would raise there
+@pytest.mark.filterwarnings("error")
+def test_estimate_reads_a_large_file_in_pool_ranges_as_in_one(tmp_path, monkeypatch, capfd):
+    values = np.random.default_rng(15).gamma(1.5, size=15_000)
+    payload = "\ufeff" + "".join(f" {value!r}\r\n" for value in values.tolist()) + "\n" * 600_000
+    path = tmp_path / "obs.txt"
+    path.write_text(payload, encoding="utf-8", newline="")
+    # a pool from 128 KiB: this file of about 900 KiB goes to two workers,
+    # and its last range holds only blank lines
+    monkeypatch.setattr(cli, "_RANGE_BYTES", 2**16)
+    with open(path, "rb") as file:
+        cuts = cli._cuts(file.fileno(), os.fstat(file.fileno()).st_size, 2 * cli._RANGES_PER_WORKER)
+        assert len(cuts) == 2 * cli._RANGES_PER_WORKER + 1 and not file.read()[cuts[-2] :].strip()
+
+    def estimate():
+        code = main(["estimate", "--correct", str(path)])
+        return (code, *capfd.readouterr())
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one_range = estimate()
+    assert one_range[0] == 0 and one_range[1].startswith("n = 15000\n") and one_range[2] == ""
+
+    parent = os.getpid()
+
+    def parent_only_open(*args, **kwargs):
+        if os.getpid() != parent:
+            raise AssertionError("a pool worker opened a path")
+        return open(*args, **kwargs)
+
+    parsed_here = []
+
+    def counted_read_range(*args):
+        if os.getpid() == parent:
+            parsed_here.append(args)
+        return read_range(*args)
+
+    read_range = cli._read_range
+    calls = _count_scans(monkeypatch)
+    monkeypatch.setattr(cli, "open", parent_only_open, raising=False)
+    monkeypatch.setattr(cli, "_read_range", counted_read_range)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert estimate() == one_range
+    # the pool parsed every range: nothing here, and no scan
+    assert (parsed_here, calls) == ([], {})
+    assert multiprocessing.active_children() == []
 
 
 def test_readme_examples(tmp_path, monkeypatch, capsys):
@@ -788,6 +955,19 @@ def test_simulate_overflowing_sums_exit_1(tmp_path, capsys):
     )
     assert code == 1
     assert "overflows float64" in err and err.count("\n") == 1
+    assert not out_path.exists()
+
+
+def test_simulate_rate_that_pushes_draws_below_the_normal_range_exits_1(tmp_path, capsys):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run_cli(
+        capsys, "simulate", "--alphas", "0.1", "--ns", "10", "--nsim", "50",
+        "--rate", "1e300", "--out", str(out_path),
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "gammaineq: a gamma draw falls below the normal float64 range at shape = 0.1, rate = 1e+300\n"
+    )
     assert not out_path.exists()
 
 

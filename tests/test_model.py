@@ -443,6 +443,16 @@ def test_sampler_refuses_draws_that_overflow(rate):
     assert str(err.value) == f"a gamma draw overflows float64 at shape = 1.5, rate = {rate:g}"
 
 
+def test_sampler_refuses_a_rate_that_pushes_draws_below_the_normal_range():
+    # about a sixth of Gamma(0.1) draws are below 2**-1022 * 1e300; divided
+    # by the rate they would be rounded as subnormals or redrawn from zero
+    with pytest.raises(DomainError) as err:
+        sample_gamma(GammaParams(0.1, 1e300), 1000, derive_stream(1, 0, 0, 0))
+    assert str(err.value) == (
+        "a gamma draw falls below the normal float64 range at shape = 0.1, rate = 1e+300"
+    )
+
+
 def test_sampler_validation():
     with pytest.raises(DomainError):
         sample_gamma(GammaParams(1.0), 0, derive_stream(1, 0, 0, 0))

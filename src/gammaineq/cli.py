@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 domain or data error, 2 usage error,
 """
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import errno
@@ -21,6 +20,7 @@ import warnings
 
 import numpy as np
 
+from ._fork import fork_map
 from .exceptions import (
     CorrectionUnavailableError,
     DegenerateSampleError,
@@ -52,14 +52,17 @@ from .simulation import (
 
 CSV_HEADER = tuple(field.name for field in dataclasses.fields(SimSummary))
 
-# A one-value-per-line file is parsed in a pool of k = min(available CPUs,
-# size // _RANGE_BYTES) processes when k > 1: below twice this size,
-# importing multiprocessing and starting the pool cost about what a second
-# CPU saves.
-_RANGE_BYTES = 2 * 2**20
+# A one-value-per-line file is parsed by k = min(available CPUs,
+# size // _RANGE_BYTES) processes when k > 1. Twice this size is where a
+# forked second process starts to pay on a 2-core machine. _read_observations
+# timed once per fresh interpreter, 20 alternating pairs of one pass
+# against two processes: 22.6 against 24.6 ms on a 0.5 MiB file (two
+# faster in 4 pairs), 45.7 against 38.1 ms on 1 MiB (14 pairs), 70.1
+# against 59.2 ms on 2 MiB (15) and 172 against 114 ms on 4 MiB (20).
+_RANGE_BYTES = 2**19
 
-# The file is cut into this many ranges per pool process, handed out in
-# turn, so that a process the host slows down parses fewer of them.
+# The file is cut into this many ranges per process, handed out in turn,
+# so that a process the host slows down parses fewer of them.
 _RANGES_PER_WORKER = 4
 
 # How far _cuts reads at a time looking for a newline.
@@ -105,12 +108,12 @@ def _read_observations(path):
     The file is opened once, and the open file, never its path, is handed
     to numpy's C text reader (`np.loadtxt`). A file that cannot seek, such
     as a pipe, is held in memory as bytes. A one-value-per-line file of at
-    least twice `_RANGE_BYTES` (4 MiB; a smaller one parses no faster in a
-    pool on a 2-core machine) is cut, just after newlines, into byte ranges
-    that a pool of one process per available CPU parses, each reading its
-    ranges from the inherited open file (`_read_lines`). Smaller files,
-    pipes and CSV input are parsed here in one pass. Values and errors are
-    the same at any CPU count. Only when numpy's read fails, or finds a
+    least twice `_RANGE_BYTES` is cut, just after newlines, into byte
+    ranges that one process per available CPU parses, this one and
+    children forked from it on Linux, each reading its ranges from the
+    shared open file (`_read_lines`). Smaller files, pipes and CSV input
+    are parsed here in one pass. Values and errors are the same at any CPU
+    count. Only when numpy's read fails, or finds a
     value that is not finite and positive, is the whole file read again
     from the start, line by line (`_scan_lines`,
     `_scan_incomes`). What reaches the scan: any invalid observation, a
@@ -172,50 +175,45 @@ def _read_lines(source):
     or a pipe's held bytes, or None if numpy's reader fails on any line.
 
     With k = min(available CPUs, size // _RANGE_BYTES) > 1, a file is cut
-    into _RANGES_PER_WORKER * k ranges (`_cuts`) that a pool of k processes
-    parses (`_read_file_ranges`). Otherwise, and when any range fails, the
-    input is parsed here as one range: which of an invalid line and a byte
-    that is not UTF-8 is met first can depend on how far numpy reads ahead,
-    and the single pass decides as it always has. A line's value does not
-    depend on where its range begins, so the values are the ones a single
-    pass gives."""
+    into _RANGES_PER_WORKER * k ranges (`_cuts`) that k processes parse,
+    this one and k - 1 forked from it (`_read_file_ranges`). Otherwise, and
+    when any range fails, the input is parsed here as one range: which of
+    an invalid line and a byte that is not UTF-8 is met first can depend on
+    how far numpy reads ahead, and the single pass decides as it always
+    has. A line's value does not depend on where its range begins, so the
+    values are the ones a single pass gives."""
     if not isinstance(source, io.BytesIO):
         fd = source.fileno()
-        stat = os.fstat(fd)
+        size = os.fstat(fd).st_size
         # the CPUs this process may run on; a platform without the call gets one range
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        workers = min(cpus, stat.st_size // _RANGE_BYTES)
-        cuts = _cuts(fd, stat.st_size, _RANGES_PER_WORKER * workers if workers > 1 else 1)
+        workers = min(cpus, size // _RANGE_BYTES)
+        cuts = _cuts(fd, size, _RANGES_PER_WORKER * workers if workers > 1 else 1)
         if len(cuts) > 2:
-            values = _read_file_ranges(fd, stat, cuts, workers)
+            values = _read_file_ranges(fd, cuts, workers)
             if values is not None:
                 return values
     source.seek(0)
     return _read_range(source, True)
 
 
-def _read_file_ranges(fd, stat, cuts, workers):
-    """The values of the ranges between `cuts` of the open file `fd`, parsed
-    by a pool of `workers` processes, which take them in turn, while this
-    one waits (numpy's reader holds the interpreter lock); or None if any
-    range fails. A worker writes a range's values to an unnamed spill file
-    at 8 * the range's first byte, which no value of an earlier range
-    reaches, and returns their count; they are read back here straight into
-    one array, in range order. Values sent back through the pool cost this
-    process about 2 MiB more peak memory on a 1M-row file."""
+def _read_file_ranges(fd, cuts, workers):
+    """The values of the ranges between `cuts` of the open file `fd`, or
+    None if any range fails. `workers` processes parse them, this one and
+    children forked from it, which share the open file (`fork_map`); each
+    takes the next range when it is done with one. Where the platform does
+    not fork, this process parses every range, in turn. A range's values
+    are written to an unnamed spill file at 8 * the range's first byte,
+    which no value of an earlier range reaches, and only their count comes
+    back; they are read back here straight into one array, in range order,
+    with no pickled copy of them in any process."""
     with tempfile.TemporaryFile() as spill:
-        # looked up here, so importing the package does not load multiprocessing
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            try:
-                counts = list(
-                    pool.map(
-                        _read_file_range,
-                        itertools.repeat(fd), itertools.repeat(stat), itertools.repeat(spill.fileno()),
-                        cuts, cuts[1:],
-                    )
-                )
-            except UnicodeDecodeError:
-                return None
+        try:
+            counts = fork_map(
+                lambda span: _read_file_range(fd, spill.fileno(), *span), zip(cuts, cuts[1:]), workers
+            )
+        except UnicodeDecodeError:
+            return None
         if None in counts:
             return None
         values = np.empty(sum(counts))
@@ -245,17 +243,10 @@ def _cuts(fd, size, parts):
     return [cut for cut in cuts if cut < size] + [size]
 
 
-def _read_file_range(fd, stat, spill, start, stop):
-    """In a pool process: _read_range of bytes [start, stop) of the open
-    file `fd`, written to the open file `spill` at 8 * start; returns the
-    number of values, or None where _read_range does. A pool that does not
-    fork (Python >= 3.14 defaults to forkserver) has another file, or none,
-    at `fd`; then this returns None, and the parent reads the input itself."""
-    try:
-        if not os.path.samestat(os.fstat(fd), stat):
-            return None
-    except OSError:
-        return None
+def _read_file_range(fd, spill, start, stop):
+    """_read_range of bytes [start, stop) of the open file `fd`, written to
+    the open file `spill` at 8 * start; returns the number of values, or
+    None where _read_range does."""
     # the range's bytes, read at their offset: the file's offset, which
     # forked processes share, never moves
     chunks = []
@@ -383,7 +374,8 @@ def cmd_expectation(args):
 
 
 def cmd_estimate(args):
-    sample = Sample(_read_observations(args.input))
+    # the reader's array is already 1-D, nonempty, finite and positive
+    sample = Sample._adopt(_read_observations(args.input))
     report = estimate_all(sample, apply_correction=args.correct)
     print(f"n = {report.n}")
     print(f"theil_t_hat = {_fmt(report.theil_t_hat)}")

@@ -8,19 +8,20 @@ cell (alpha_index, n_index) owns one counter-based stream, derived by
 hashing (master_seed, alpha_index, n_index, b), and draws all its rows*n
 observations with one sample_gamma call; reshaped row-major to (rows, n),
 row r is replication b*R + r. Results are therefore a pure function of the
-config no matter how the (cell, block) tasks are scheduled. Each worker
-samples, estimates, fits and bias-corrects one contiguous run of tasks,
-each row on its own; the parent joins the runs in task order and reduces
-each cell in replication order with exact compensated summation.
+config no matter how the (cell, block) tasks are scheduled. Each process,
+the calling one included, samples, estimates, fits and bias-corrects one
+contiguous run of tasks, each row on its own; the calling process joins
+the runs in task order and reduces each cell in replication order with
+exact compensated summation.
 """
 
-import concurrent.futures
 import itertools
 import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from ._fork import fork_map
 from .exceptions import DomainError
 from .mle import _fit_and_correct, _row_estimates
 from .model import GammaParams, population_values, sample_gamma
@@ -235,7 +236,8 @@ def _summarize(params, n, n_sim, values):
 def _run_cells(cells, n_sim, master_seed, workers):
     """The six summaries of every (alpha_index, n_index, params, n) cell, in
     cell order. Its (cell, block) tasks are cut into at most `workers` runs for
-    _run_tasks: here if one, else one process each; a cell may span two runs."""
+    _run_tasks: here if one, else one process each, this one and children
+    forked from it (`fork_map`); a cell may span two runs."""
     tasks = [
         (params, n, rows, master_seed, ai, ni, b)
         for ai, ni, params, n in cells
@@ -245,9 +247,7 @@ def _run_cells(cells, n_sim, master_seed, workers):
     if len(runs) == 1:
         values = _run_tasks(tasks)
     else:
-        # looked up here, so importing the package does not load multiprocessing
-        with concurrent.futures.ProcessPoolExecutor(max_workers=len(runs)) as pool:
-            values = np.concatenate(list(pool.map(_run_tasks, runs)), axis=1)
+        values = np.concatenate(fork_map(_run_tasks, runs, len(runs)), axis=1)
     return [
         summary
         for i, (_, _, params, n) in enumerate(cells)

@@ -2,6 +2,8 @@
 whose outputs are pinned."""
 
 import math
+import os
+import time
 
 import hypothesis
 import numpy as np
@@ -55,3 +57,31 @@ def pinned_gamma_sample():
     """The 10,000-row Gamma(1.5) sample whose estimates and shape fit are
     pinned bit for bit."""
     return sample_gamma(GammaParams(1.5), 10_000, derive_stream(42, 0, 0, 0))
+
+
+def append_line(path, line):
+    """Append `line` and a newline to the file `path` in one O_APPEND write,
+    so that lines from forked processes land whole, each exactly once."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o600)
+    try:
+        os.write(fd, f"{line}\n".encode())
+    finally:
+        os.close(fd)
+
+
+def read_lines(path):
+    """The lines of the file `path`, or [] if it does not exist."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read().splitlines()
+    except FileNotFoundError:
+        return []
+
+
+def wait_for(condition, timeout=30.0):
+    """Poll `condition` until it holds; AssertionError after `timeout` s."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            raise AssertionError(f"waited {timeout} s for a condition")
+        time.sleep(0.001)

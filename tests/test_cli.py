@@ -1,12 +1,10 @@
 """Command-line interface: output formats, exit codes, file parsing, and
 byte-stable CSV export."""
 
-import concurrent.futures
 import csv
 import hashlib
 import io
 import itertools
-import multiprocessing
 import operator
 import os
 import pathlib
@@ -23,8 +21,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import numpy_build_note, pinned_gamma_sample
-from gammaineq import DomainError, SimConfig, cli, run_grid
+from conftest import append_line, numpy_build_note, pinned_gamma_sample, read_lines, wait_for
+from gammaineq import DomainError, Sample, SimConfig, cli, run_grid, simulation
 from gammaineq.cli import CSV_HEADER, main
 
 
@@ -207,6 +205,26 @@ atkinson_corrected = 0.308292659328
 def test_estimate_correct_stdout_pinned(tmp_path, capsys, values, expected):
     data = tmp_path / "obs.txt"
     data.write_text("".join(f"{value!r}\n" for value in values()))
+    assert run_cli(capsys, "estimate", str(data), "--correct") == (0, expected, ""), numpy_build_note()
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        (lambda: [1.0, 3.0], PAIR_CORRECTED_STDOUT),
+        (lambda: pinned_gamma_sample().observations.tolist(), GAMMA_CORRECTED_STDOUT),
+    ],
+)
+def test_estimate_adopts_the_array_the_reader_checked(tmp_path, capsys, monkeypatch, values, expected):
+    # the reader's array is already 1-D, nonempty, finite and positive:
+    # Sample does not copy and check it again
+    data = tmp_path / "obs.txt"
+    data.write_text("".join(f"{value!r}\n" for value in values()))
+
+    def refuse(self):
+        raise AssertionError("Sample.__post_init__ ran")
+
+    monkeypatch.setattr(Sample, "__post_init__", refuse)
     assert run_cli(capsys, "estimate", str(data), "--correct") == (0, expected, ""), numpy_build_note()
 
 
@@ -540,21 +558,28 @@ def _run_module(*argv, **kwargs):
 
 
 def test_importing_the_cli_loads_no_multiprocessing(tmp_path):
-    # estimate and a serial simulate never start a pool; the pool's module
-    # and multiprocessing are imported on first use
-    result = _run_python("-c", "import sys, gammaineq.cli; print('multiprocessing' in sys.modules)")
-    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
-    # nor does estimate on a file below twice the range size, parsed here
-    # as one range: a small input pays for no pool
+    # no command starts a process pool: importing the CLI loads neither
+    # concurrent.futures nor multiprocessing
+    loaded = "sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules))"
+    result = _run_python("-c", f"import sys, gammaineq.cli; print({loaded})")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+    # nor does a run that forks: estimate on a file of over twice the range
+    # size, parsed in ranges where two CPUs are available, and simulate at
+    # two workers
     data = tmp_path / "obs.txt"
-    data.write_text("1\n3\n" * 1000)
+    data.write_text("1\n3\n" * 300_000)
+    assert data.stat().st_size >= 2 * cli._RANGE_BYTES
     script = (
         "import sys; from gammaineq import cli; code = cli.main(sys.argv[1:]); "
-        "print('multiprocessing' in sys.modules); sys.exit(code)"
+        f"print({loaded}); sys.exit(code)"
     )
     result = _run_python("-c", script, "estimate", "--correct", str(data))
     assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout.startswith("n = 2000\n") and result.stdout.endswith("\nFalse\n")
+    assert result.stdout.startswith("n = 600000\n") and result.stdout.endswith("\n[]\n")
+    out = tmp_path / "x.csv"
+    result = _run_python("-c", script, "simulate", *SIM_FLAGS, "--workers", "2", "--out", str(out))
+    assert (result.returncode, result.stdout) == (0, "[]\n")
+    assert result.stderr.startswith("simulate: 2 alphas x 2 ns x 6 reps;")
 
 
 def test_estimate_header_only_csv_prints_only_the_error(tmp_path):
@@ -674,19 +699,9 @@ def test_reader_matches_the_reference_reader(tmp_path, bom, header, body):
     assert live == reference, text
 
 
-class _InProcessPool:
-    """A stand-in for ProcessPoolExecutor that runs each task here, in order."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    map = staticmethod(map)
+def _in_process_fork_map(fn, jobs, processes):
+    """A stand-in for fork_map that runs every job here, in order."""
+    return [fn(job) for job in jobs]
 
 
 def _newline_ends(payload):
@@ -709,7 +724,7 @@ def _read_in_ranges(monkeypatch, path, cuts):
     # read here, one after another
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_cuts", lambda fd, size, parts: [0, *cuts, size])
-        patch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+        patch.setattr(cli, "fork_map", _in_process_fork_map)
         return _read_outcome(cli._read_observations, path)
 
 
@@ -780,15 +795,15 @@ def test_cuts_fall_just_after_newlines(tmp_path, monkeypatch, payload, parts):
 
 
 # numpy's "input contained no data" warning for the all-blank range, if a
-# worker did not filter it, would raise there
+# process did not filter it, would raise there
 @pytest.mark.filterwarnings("error")
-def test_estimate_reads_a_large_file_in_pool_ranges_as_in_one(tmp_path, monkeypatch, capfd):
+def test_estimate_reads_a_large_file_in_ranges_as_in_one(tmp_path, monkeypatch, capfd):
     values = np.random.default_rng(15).gamma(1.5, size=15_000)
     payload = "\ufeff" + "".join(f" {value!r}\r\n" for value in values.tolist()) + "\n" * 600_000
     path = tmp_path / "obs.txt"
     path.write_text(payload, encoding="utf-8", newline="")
-    # a pool from 128 KiB: this file of about 900 KiB goes to two workers,
-    # and its last range holds only blank lines
+    # ranges from 128 KiB: this file of about 900 KiB goes to two
+    # processes, and its last range holds only blank lines
     monkeypatch.setattr(cli, "_RANGE_BYTES", 2**16)
     with open(path, "rb") as file:
         cuts = cli._cuts(file.fileno(), os.fstat(file.fileno()).st_size, 2 * cli._RANGES_PER_WORKER)
@@ -802,29 +817,33 @@ def test_estimate_reads_a_large_file_in_pool_ranges_as_in_one(tmp_path, monkeypa
     one_range = estimate()
     assert one_range[0] == 0 and one_range[1].startswith("n = 15000\n") and one_range[2] == ""
 
-    parent = os.getpid()
+    # what every process does, logged through one O_APPEND file
+    log = tmp_path / "log"
 
-    def parent_only_open(*args, **kwargs):
-        if os.getpid() != parent:
-            raise AssertionError("a pool worker opened a path")
-        return open(*args, **kwargs)
+    def logged(name, original):
+        def call(*args, **kwargs):
+            append_line(log, f"{name} {os.getpid()} {args[2:] if name == 'range' else ''}")
+            return original(*args, **kwargs)
 
-    parsed_here = []
+        return call
 
-    def counted_read_range(*args):
-        if os.getpid() == parent:
-            parsed_here.append(args)
-        return read_range(*args)
-
-    read_range = cli._read_range
-    calls = _count_scans(monkeypatch)
-    monkeypatch.setattr(cli, "open", parent_only_open, raising=False)
-    monkeypatch.setattr(cli, "_read_range", counted_read_range)
+    for name in ("_scan_lines", "_scan_incomes"):
+        monkeypatch.setattr(cli, name, logged("scan", getattr(cli, name)))
+    monkeypatch.setattr(cli, "_read_file_range", logged("range", cli._read_file_range))
+    monkeypatch.setattr(cli, "_read_range", logged("parse", cli._read_range))
+    monkeypatch.setattr(cli, "open", logged("open", open), raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert estimate() == one_range
-    # the pool parsed every range: nothing here, and no scan
-    assert (parsed_here, calls) == ([], {})
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    calls = [line.split(" ", 2) for line in read_lines(log)]
+    # the path is opened once, here; each range is parsed exactly once, in
+    # whichever process took it, and nothing is parsed again or scanned
+    assert [(pid, args) for name, pid, args in calls if name == "open"] == [(str(os.getpid()), "")]
+    ranges = [args for name, _, args in calls if name == "range"]
+    assert sorted(ranges) == sorted(str(span) for span in zip(cuts, cuts[1:]))
+    assert [name for name, _, _ in calls].count("parse") == len(ranges)
+    assert {name for name, _, _ in calls} == {"open", "range", "parse"}
 
 
 def test_readme_examples(tmp_path, monkeypatch, capsys):
@@ -986,6 +1005,41 @@ def test_simulate_worker_error_reaches_the_cli_as_the_serial_one(tmp_path, capsy
         errors.append(err)
     assert errors[0] == errors[1]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_worker_that_ends_without_a_result_exits_1(tmp_path, capsys, monkeypatch):
+    # a forked worker dies mid-run, as one the kernel kills would: one line
+    # on stderr, exit 1, no CSV, and no child left behind
+    parent = os.getpid()
+    log = tmp_path / "log"
+    run_tasks = simulation._run_tasks
+
+    def dying(tasks):
+        if os.getpid() != parent:
+            append_line(log, "child")
+            os._exit(3)
+        # hold this process on its run until the child has taken the other
+        wait_for(lambda: read_lines(log))
+        return run_tasks(tasks)
+
+    monkeypatch.setattr(simulation, "_run_tasks", dying)
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(capsys, "simulate", *SIM_FLAGS, "--workers", "2", "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert re.fullmatch(r"gammaineq: worker process \d+ ended without a result \(exit code 3\)\n", err), err
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", ["3", "13"])
+def test_simulate_csv_at_more_workers_than_cores_or_runs_equals_serial(tmp_path, capsys, workers):
+    # SIM_FLAGS's grid has 4 (cell, block) tasks: 13 workers give 4 runs
+    serial = tmp_path / "serial.csv"
+    parallel = tmp_path / "parallel.csv"
+    assert run_cli(capsys, "simulate", *SIM_FLAGS, "--out", str(serial))[0] == 0
+    assert run_cli(capsys, "simulate", *SIM_FLAGS, "--workers", workers, "--out", str(parallel))[0] == 0
+    assert parallel.read_bytes() == serial.read_bytes()
 
 
 def test_simulate_unwritable_path_exits_1(tmp_path, capsys, monkeypatch):

@@ -4,13 +4,14 @@ determinism, numpy scalar arguments, and a CLT-scale check of the
 closed-form expectations."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import numpy_build_note, se_from_summary
+from conftest import append_line, numpy_build_note, read_lines, se_from_summary
 from gammaineq import (
     ESTIMATOR_IDS,
     RATE_ALPHA,
@@ -289,22 +290,38 @@ def test_split_balances_variates(parts, lengths):
     assert [len(run) for run in _split(tasks, parts)] == lengths
 
 
-@pytest.mark.parametrize("workers, parent_fits", [(1, 1), (2, 0)])
-def test_parent_fits_only_on_the_serial_path(monkeypatch, workers, parent_fits):
-    # with a pool the workers fit and correct; the parent only aggregates.
-    # The serial path fits all 120 rows in one call.
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_run_is_fitted_once_in_the_process_that_takes_it(tmp_path, monkeypatch, workers):
+    # the grid's 4 (cell, block) tasks of 30 rows each are cut into
+    # `workers` runs; whichever process takes a run fits its rows in one
+    # call, and no row is fitted twice. The serial run is fitted here.
     config = SimConfig(alphas=(0.5, 2.0), ns=(5, 20), n_sim=30, master_seed=3)
     serial = run_grid(config)
-    calls = []
-    fit_and_correct = simulation._fit_and_correct
+    log = tmp_path / "log"
+    run_tasks, fit_and_correct = simulation._run_tasks, simulation._fit_and_correct
 
-    def counted(*args):
-        calls.append(args)
+    def logged_run(tasks):
+        blocks = " ".join("{}/{}/{}".format(*task[4:]) for task in tasks)
+        append_line(log, f"run {os.getpid()} {sum(task[2] for task in tasks)} {blocks}")
+        return run_tasks(tasks)
+
+    def logged_fit(*args):
+        append_line(log, f"fit {os.getpid()} {args[3].size}")
         return fit_and_correct(*args)
 
-    monkeypatch.setattr(simulation, "_fit_and_correct", counted)
+    monkeypatch.setattr(simulation, "_run_tasks", logged_run)
+    monkeypatch.setattr(simulation, "_fit_and_correct", logged_fit)
     assert run_grid(config, workers=workers) == serial
-    assert len(calls) == parent_fits
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    calls = [line.split() for line in read_lines(log)]
+    runs = [(pid, rows) for kind, pid, rows, *_ in calls if kind == "run"]
+    blocks = [block for kind, _, _, *blocks in calls if kind == "run" for block in blocks]
+    assert len(runs) == workers
+    assert sorted(blocks) == ["0/0/0", "0/1/0", "1/0/0", "1/1/0"]
+    assert sorted((pid, rows) for kind, pid, rows, *_ in calls if kind == "fit") == sorted(runs)
+    if workers == 1:
+        assert runs == [(str(os.getpid()), "120")]
 
 
 def test_run_grid_rate_sentinel_equivalence():

@@ -6,9 +6,11 @@ Exit codes: 0 success, 1 domain or data error, 2 usage error,
 """
 
 import argparse
+import codecs
 import csv
 import dataclasses
 import errno
+import gc
 import io
 import itertools
 import math
@@ -52,13 +54,18 @@ from .simulation import (
 
 CSV_HEADER = tuple(field.name for field in dataclasses.fields(SimSummary))
 
-# A one-value-per-line file is parsed by k = min(available CPUs,
-# size // _RANGE_BYTES) processes when k > 1. Twice this size is where a
-# forked second process starts to pay on a 2-core machine. _read_observations
-# timed once per fresh interpreter, 20 alternating pairs of one pass
-# against two processes: 22.6 against 24.6 ms on a 0.5 MiB file (two
-# faster in 4 pairs), 45.7 against 38.1 ms on 1 MiB (14 pairs), 70.1
-# against 59.2 ms on 2 MiB (15) and 172 against 114 ms on 4 MiB (20).
+# A file that is cut into ranges (`_read_ranges`) is parsed by k =
+# min(available CPUs, size // _RANGE_BYTES) processes when k > 1. Twice this
+# size is where a forked second process starts to pay on a 2-core machine,
+# in both formats. _read_observations timed once per fresh interpreter,
+# alternating pairs of one pass against two processes, median ms (pairs
+# with two faster): one value per line, 22.6 against 24.6 on a 0.5 MiB file
+# (4 of 20), 45.7 against 38.1 on 1 MiB (14 of 20), 70.1 against 59.2 on
+# 2 MiB (15 of 20) and 172 against 114 on 4 MiB (20 of 20); a CSV of four
+# columns, which numpy parses about 1.5 times as fast per byte, 15.3
+# against 17.0 on 0.5 MiB (0 of 12), 27.8 against 23.5 on 1 MiB (13 of 20),
+# 55.2 against 41.3 on 2 MiB (12 of 12) and 95.7 against 67.9 on 4 MiB
+# (10 of 12).
 _RANGE_BYTES = 2**19
 
 # The file is cut into this many ranges per process, handed out in turn,
@@ -107,21 +114,24 @@ def _read_observations(path):
 
     The file is opened once, and the open file, never its path, is handed
     to numpy's C text reader (`np.loadtxt`). A file that cannot seek, such
-    as a pipe, is held in memory as bytes. A one-value-per-line file of at
-    least twice `_RANGE_BYTES` is cut, just after newlines, into byte
-    ranges that one process per available CPU parses, this one and
-    children forked from it on Linux, each reading its ranges from the
-    shared open file (`_read_lines`). Smaller files, pipes and CSV input
-    are parsed here in one pass. Values and errors are the same at any CPU
-    count. Only when numpy's read fails, or finds a
-    value that is not finite and positive, is the whole file read again
-    from the start, line by line (`_scan_lines`,
-    `_scan_incomes`). What reaches the scan: any invalid observation, a
-    line of two numbers, a short CSV row or a CSV row of blank fields, and
-    spellings that `float` accepts but numpy does not, such as `1_000` or
-    non-ASCII digits. The scan raises the DomainError naming the line of
-    the first invalid observation, or returns the values if there is none.
-    A byte that is not UTF-8 is named by its offset in the whole input.
+    as a pipe, is held in memory as bytes. A file of at least twice
+    `_RANGE_BYTES` is cut, just after newlines, into byte ranges that one
+    process per available CPU parses, this one and children forked from it
+    on Linux, each reading its ranges from the shared open file
+    (`_read_ranges`). A CSV file is cut only when its header is its first
+    line, ends in a newline and holds no `"` (`_rows_start`): its ranges
+    begin just after the header, and a range that holds a `"` fails.
+    Smaller files, pipes, other CSV files and any input of which a range
+    fails are parsed here in one pass. Values and errors are the same at any CPU count. Only when
+    numpy's read fails, or finds a value that is not finite and positive,
+    is the whole file read again from the start, line by line
+    (`_scan_lines`, `_scan_incomes`). What reaches the scan: any invalid
+    observation, a line of two numbers, a short CSV row or a CSV row of
+    blank fields, and spellings that `float` accepts but numpy does not,
+    such as `1_000` or non-ASCII digits. The scan raises the DomainError
+    naming the line of the first invalid observation, or returns the
+    values if there is none. A byte that is not UTF-8 is named by its
+    offset in the whole input.
 
     numpy's reader accepts two kinds of CSV file that the scan rejects: an
     income with the ASCII separator controls U+001C to U+001F around it,
@@ -139,24 +149,17 @@ def _read_observations(path):
             try:
                 column = _income_column(next(csv.reader([first])))
                 is_csv = column is not None
-                if is_csv:
+                values = _read_ranges(source, _rows_start(source, first) if is_csv else 0, column)
+                if values is None and is_csv:
                     lines = itertools.chain([first], handle)
                     # skip the header, whose `income` column is given, up
                     # to the end of its last quoted field
                     next(csv.reader(lines))
-                    with warnings.catch_warnings():
-                        # a header with no rows: reported below as no observations
-                        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                        # comments=None: numpy would otherwise read `1.5#x` as 1.5
-                        values = np.loadtxt(
-                            lines, dtype=float, comments=None, delimiter=",", quotechar='"',
-                            usecols=column, ndmin=1,
-                        )
-                else:
-                    values = _read_lines(source)
-            except UnicodeDecodeError:
-                raise
-            except (ValueError, csv.Error):
+                    values = _loadtxt(lines, column)
+                elif values is None:
+                    source.seek(0)
+                    values = _read_range(source, True)
+            except csv.Error:
                 values = None
             if values is None or not (np.isfinite(values) & (values > 0.0)).all():
                 handle.seek(0)
@@ -170,34 +173,51 @@ def _read_observations(path):
     return values
 
 
-def _read_lines(source):
-    """The values of a one-value-per-line input, `source` being the open file
-    or a pipe's held bytes, or None if numpy's reader fails on any line.
+def _rows_start(source, first):
+    """The offset of the byte just after the CSV header `first`, the input's
+    first non-blank line, when `source` is a file and the header is its
+    first physical line, after an optional byte-order mark, holds no `"`
+    and ends in LF or CRLF; otherwise None. Only then is the header's end a
+    known byte: csv.reader reads a quoted field on over newlines, and
+    `open` also ends a line at a lone CR."""
+    if isinstance(source, io.BytesIO) or '"' in first or not first.endswith("\n"):
+        return None
+    header = first[:-1].encode()
+    head = os.pread(source.fileno(), len(codecs.BOM_UTF8) + len(header) + 2, 0)
+    bom = len(codecs.BOM_UTF8) if head.startswith(codecs.BOM_UTF8) else 0
+    for newline in (b"\n", b"\r\n"):
+        if head.startswith(header + newline, bom):
+            return bom + len(header) + len(newline)
+    return None
+
+
+def _read_ranges(source, start, column):
+    """The values of bytes [start, size) of the input, `source` being the open
+    file or a pipe's held bytes, parsed in ranges: one value per line if
+    `column` is None, else CSV rows with the value in `column`. None if
+    `source` is held bytes, `start` is None, the input is not cut or any
+    range fails; the caller then parses the input in one pass.
 
     With k = min(available CPUs, size // _RANGE_BYTES) > 1, a file is cut
     into _RANGES_PER_WORKER * k ranges (`_cuts`) that k processes parse,
-    this one and k - 1 forked from it (`_read_file_ranges`). Otherwise, and
-    when any range fails, the input is parsed here as one range: which of
-    an invalid line and a byte that is not UTF-8 is met first can depend on
-    how far numpy reads ahead, and the single pass decides as it always
-    has. A line's value does not depend on where its range begins, so the
-    values are the ones a single pass gives."""
-    if not isinstance(source, io.BytesIO):
-        fd = source.fileno()
-        size = os.fstat(fd).st_size
-        # the CPUs this process may run on; a platform without the call gets one range
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        workers = min(cpus, size // _RANGE_BYTES)
-        cuts = _cuts(fd, size, _RANGES_PER_WORKER * workers if workers > 1 else 1)
-        if len(cuts) > 2:
-            values = _read_file_ranges(fd, cuts, workers)
-            if values is not None:
-                return values
-    source.seek(0)
-    return _read_range(source, True)
+    this one and k - 1 forked from it (`_read_file_ranges`). Which of an
+    invalid line and a byte that is not UTF-8 is met first can depend on
+    how far numpy reads ahead, so a failing range leaves it to the single
+    pass to decide as it always has. A line's value, or a CSV row's, does
+    not depend on where its range begins, so the values are the ones a
+    single pass gives."""
+    if start is None or isinstance(source, io.BytesIO):
+        return None
+    fd = source.fileno()
+    size = os.fstat(fd).st_size
+    # the CPUs this process may run on; a platform without the call gets one range
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, size // _RANGE_BYTES)
+    cuts = _cuts(fd, size, _RANGES_PER_WORKER * workers if workers > 1 else 1, start)
+    return _read_file_ranges(fd, cuts, workers, column) if len(cuts) > 2 else None
 
 
-def _read_file_ranges(fd, cuts, workers):
+def _read_file_ranges(fd, cuts, workers, column):
     """The values of the ranges between `cuts` of the open file `fd`, or
     None if any range fails. `workers` processes parse them, this one and
     children forked from it, which share the open file (`fork_map`); each
@@ -210,7 +230,9 @@ def _read_file_ranges(fd, cuts, workers):
     with tempfile.TemporaryFile() as spill:
         try:
             counts = fork_map(
-                lambda span: _read_file_range(fd, spill.fileno(), *span), zip(cuts, cuts[1:]), workers
+                lambda span: _read_file_range(fd, spill.fileno(), *span, column=column),
+                zip(cuts, cuts[1:]),
+                workers,
             )
         except UnicodeDecodeError:
             return None
@@ -223,14 +245,14 @@ def _read_file_ranges(fd, cuts, workers):
     return values
 
 
-def _cuts(fd, size, parts):
-    """Offsets 0 < c1 < ... < size cutting the open file `fd` of `size`
-    bytes into at most `parts` ranges of about equal size, each cut just
-    after a newline, so that no line, CRLF pair or UTF-8 character is
-    split. With fewer than two parts, [0, size]."""
-    cuts = [0]
+def _cuts(fd, size, parts, start=0):
+    """Offsets start < c1 < ... < size cutting bytes [start, size) of the
+    open file `fd` of `size` bytes into at most `parts` ranges of about
+    equal size, each cut just after a newline, so that no line, CRLF pair
+    or UTF-8 character is split. With fewer than two parts, [start, size]."""
+    cuts = [start]
     for i in range(1, parts):
-        at = max(size * i // parts, cuts[-1])
+        at = max(start + (size - start) * i // parts, cuts[-1])
         while at < size:
             found = os.pread(fd, _SCAN_BYTES, at).find(b"\n")
             if found >= 0:
@@ -243,7 +265,7 @@ def _cuts(fd, size, parts):
     return [cut for cut in cuts if cut < size] + [size]
 
 
-def _read_file_range(fd, spill, start, stop):
+def _read_file_range(fd, spill, start, stop, column):
     """_read_range of bytes [start, stop) of the open file `fd`, written to
     the open file `spill` at 8 * start; returns the number of values, or
     None where _read_range does."""
@@ -254,7 +276,7 @@ def _read_file_range(fd, spill, start, stop):
     while at < stop and (chunk := os.pread(fd, stop - at, at)):
         chunks.append(chunk)
         at += len(chunk)
-    values = _read_range(io.BytesIO(b"".join(chunks)), start == 0)
+    values = _read_range(io.BytesIO(b"".join(chunks)), start == 0, column)
     if values is None:
         return None
     data, at = memoryview(values).cast("B"), 8 * start
@@ -264,27 +286,51 @@ def _read_file_range(fd, spill, start, stop):
     return values.size
 
 
-def _read_range(binary, first):
-    """The values of one range of a one-value-per-line input, read from the
-    binary stream `binary`: from the start of the input if `first`, where a
-    byte-order mark is skipped, else from just after a newline. Newlines
-    are translated as `open` does. Returns None if numpy's reader fails or
-    a line holds more than one number; a byte that is not UTF-8 raises
-    UnicodeDecodeError."""
+def _read_range(binary, first, column=None):
+    """The values of one range of the input, read from the binary stream
+    `binary`: from the start of the input if `first`, where a byte-order
+    mark is skipped, else from just after a newline. The range holds one
+    value per line if `column` is None; else it holds CSV rows, with the
+    value in `column`, and `binary` is a BytesIO. Newlines are translated
+    as `open` does. Returns None where `_loadtxt` does, and for CSV rows
+    with a `"` in them: a quoted field that spans a cut has its opening
+    quote in one range and its closing quote in another, so one of them
+    fails. A byte that is not UTF-8 raises UnicodeDecodeError."""
+    # getvalue returns the bytes the BytesIO was made from, not a copy
+    if column is not None and b'"' in binary.getvalue():
+        return None
     text = io.TextIOWrapper(binary, encoding="utf-8-sig" if first else "utf-8")
     try:
+        return _loadtxt(text, column)
+    finally:
+        # leaves `binary` open for its owner
+        text.detach()
+
+
+def _loadtxt(lines, column):
+    """numpy's C reader on `lines`, a text stream or an iterable of lines:
+    one value per line if `column` is None, else CSV rows, each read on its
+    own, with the value in `column`. Returns the values, or None if numpy
+    fails or a line holds more than one number; a byte that is not UTF-8
+    raises UnicodeDecodeError."""
+    layout = (
+        {"ndmin": 2}
+        if column is None
+        else {"delimiter": ",", "quotechar": '"', "usecols": column, "ndmin": 1}
+    )
+    try:
         with warnings.catch_warnings():
-            # a range of blank lines
+            # blank lines only, or a header with no rows: the caller reports
+            # no observations
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             # comments=None: numpy would otherwise read `1.5#x` as 1.5
-            values = np.loadtxt(text, dtype=float, comments=None, ndmin=2)
+            values = np.loadtxt(lines, dtype=float, comments=None, **layout)
     except UnicodeDecodeError:
         raise
     except ValueError:
         return None
-    finally:
-        # leaves `binary` open for its owner
-        text.detach()
+    if column is not None:
+        return values
     return values[:, 0] if values.shape[1] == 1 else None
 
 
@@ -520,5 +566,15 @@ def main(argv=None):
         return 1
 
 
-if __name__ == "__main__":
+def _entry():
+    """The process entry of `python -m gammaineq` and the `gammaineq` script.
+    With the imports done, their objects are moved out of the garbage
+    collector's reach (`gc.freeze`): exit does not traverse them, and
+    children that `fork_map` forks do not write to their pages when they
+    collect. `main` itself leaves the collector as it is."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    _entry()

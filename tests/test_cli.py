@@ -2,6 +2,7 @@
 byte-stable CSV export."""
 
 import csv
+import gc
 import hashlib
 import io
 import itertools
@@ -709,40 +710,50 @@ def _newline_ends(payload):
     return [i + 1 for i, byte in enumerate(payload[:-1]) if byte == ord("\n")]
 
 
-def _ranges_outcome(payload, cuts):
+def _ranges_outcome(payload, cuts, column=None):
     # the values of the ranges between `cuts`, joined, or "fails" if any
-    # range fails as _read_lines sees it: None, or a byte that is not UTF-8
+    # range fails as _read_ranges sees it: None, or a byte that is not UTF-8
     try:
-        parts = [cli._read_range(io.BytesIO(payload[a:b]), a == 0) for a, b in zip(cuts, cuts[1:])]
+        parts = [cli._read_range(io.BytesIO(payload[a:b]), a == 0, column) for a, b in zip(cuts, cuts[1:])]
     except UnicodeDecodeError:
         return "fails"
     return "fails" if any(part is None for part in parts) else np.concatenate(parts).tobytes()
 
 
 def _read_in_ranges(monkeypatch, path, cuts):
-    # the reader, its one-value-per-line files cut at `cuts` and the ranges
-    # read here, one after another
+    # the reader, the files it would cut cut at those of `cuts` past the
+    # first byte of their ranges, and the ranges read here, one after another
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_cuts", lambda fd, size, parts: [0, *cuts, size])
+        patch.setattr(
+            cli, "_cuts", lambda fd, size, parts, start: [start, *(cut for cut in cuts if cut > start), size]
+        )
         patch.setattr(cli, "fork_map", _in_process_fork_map)
         return _read_outcome(cli._read_observations, path)
 
 
 RANGE_TOKENS = [token.encode() for token in BODY_TOKENS] + ["\ufeff".encode(), b"\xff"]
+# no header: one value per line; else a CSV header that the rows are cut after
+RANGE_HEADERS = [b"", b"income\n", b"id,income\r\n", b" a , income ,b\n", b'"income\n']
 
 
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     bom=st.booleans(),
+    header=st.sampled_from(RANGE_HEADERS),
     body=st.lists(st.sampled_from(RANGE_TOKENS), max_size=30).map(b"".join),
     data=st.data(),
 )
-def test_ranges_cut_after_any_newlines_read_as_one_range(tmp_path, monkeypatch, bom, body, data):
-    payload = (b"\xef\xbb\xbf" if bom else b"") + body
-    cuts = sorted(data.draw(st.sets(st.sampled_from(_newline_ends(payload) or [0]))) - {0})
+def test_ranges_cut_after_any_newlines_read_as_one_range(tmp_path, monkeypatch, bom, header, body, data):
+    start = (3 if bom else 0) + len(header)
+    payload = (b"\xef\xbb\xbf" if bom else b"") + header + body
+    column = cli._income_column(next(csv.reader([header.decode()]))) if header else None
+    ends = [end for end in _newline_ends(payload) if end > start]
+    cuts = sorted(data.draw(st.sets(st.sampled_from(ends or [start]))) - {start})
     # the range function: the joined ranges hold the one range's values, or
     # both fail
-    assert _ranges_outcome(payload, [0, *cuts, len(payload)]) == _ranges_outcome(payload, [0, len(payload)])
+    assert _ranges_outcome(payload, [start, *cuts, len(payload)], column) == _ranges_outcome(
+        payload, [start, len(payload)], column
+    )
     # the reader: the same values or the same error as one range gives
     path = tmp_path / "obs.txt"
     path.write_bytes(payload)
@@ -758,9 +769,24 @@ def test_ranges_cut_after_any_newlines_read_as_one_range(tmp_path, monkeypatch, 
         ("1\n\ufeff2\n3\n".encode(), "line 2: could not parse observation '\\ufeff2'"),
         (b"1\n2\n3\n-4\n", "line 4: observation must be strictly positive and finite, got -4"),
         (b"1\n2\n3\n\xff4\n", "byte 6: not UTF-8 text (invalid start byte)"),
+        (b"\xef\xbb\xbfid,income\n1,1.5\n2,2\n3,3\n", [1.5, 2.0, 3.0]),
+        (b"id,income\r\na,1\r\nb,2\rc,3\r\nd,4\ne,5\rf,6\n", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+        (b"id,income\n1,1\n\n\n2,2\n,\n \n,\n3,3", [1.0, 2.0, 3.0]),
+        (b"id,income\n1,1\n2,2\n3\n4,4\n", "line 4: missing income value"),
+        (b"id,income\n1,1\n2,2\n3,\xff3\n", "byte 20: not UTF-8 text (invalid start byte)"),
+        (b'id,income\n1,1\n"2",2\n3,"3"\n', [1.0, 2.0, 3.0]),
+        (b'id,note,income\n1,"a\nb\n",1\n2,,2\n', [1.0, 2.0]),
+        # numpy ends an unclosed quote at the end of its input: cut after
+        # `"x`, both ranges would parse, to 1 and to 2, 3
+        (b'income,note\n1,"x\n2,y\n3,"\n4,z\n', [1.0, 4.0]),
+        # the header's quoted field runs to the end: there are no rows
+        (b'"income\n1\n2\n', "no observations found"),
     ],
     ids=["bom", "crlf-and-lone-cr", "blank-lines-at-cuts", "bom-char-starts-a-range",
-         "invalid-in-last-range", "not-utf8-in-last-range"],
+         "invalid-in-last-range", "not-utf8-in-last-range", "csv-bom", "csv-crlf-and-lone-cr",
+         "csv-blank-rows-at-cuts", "csv-short-row-in-last-range", "csv-not-utf8-in-last-range",
+         "csv-quoted-fields", "csv-quoted-field-across-cuts", "csv-unclosed-quote-in-a-range",
+         "csv-header-unclosed-quote"],
 )
 def test_every_choice_of_cuts_reads_as_one_range(tmp_path, monkeypatch, payload, expected):
     path = tmp_path / "obs.txt"
@@ -794,19 +820,14 @@ def test_cuts_fall_just_after_newlines(tmp_path, monkeypatch, payload, parts):
     assert all(payload[cut - 1 : cut] == b"\n" for cut in cuts[1:-1])
 
 
-# numpy's "input contained no data" warning for the all-blank range, if a
-# process did not filter it, would raise there
-@pytest.mark.filterwarnings("error")
-def test_estimate_reads_a_large_file_in_ranges_as_in_one(tmp_path, monkeypatch, capfd):
-    values = np.random.default_rng(15).gamma(1.5, size=15_000)
-    payload = "\ufeff" + "".join(f" {value!r}\r\n" for value in values.tolist()) + "\n" * 600_000
-    path = tmp_path / "obs.txt"
-    path.write_text(payload, encoding="utf-8", newline="")
-    # ranges from 128 KiB: this file of about 900 KiB goes to two
-    # processes, and its last range holds only blank lines
+def _check_reads_in_ranges_as_in_one(monkeypatch, capfd, tmp_path, path, start, n):
+    # ranges from 128 KiB: the file of about 1 MiB at `path`, whose rows
+    # begin at byte `start`, goes to two processes, and its last range holds
+    # only blank lines
     monkeypatch.setattr(cli, "_RANGE_BYTES", 2**16)
     with open(path, "rb") as file:
-        cuts = cli._cuts(file.fileno(), os.fstat(file.fileno()).st_size, 2 * cli._RANGES_PER_WORKER)
+        size = os.fstat(file.fileno()).st_size
+        cuts = cli._cuts(file.fileno(), size, 2 * cli._RANGES_PER_WORKER, start)
         assert len(cuts) == 2 * cli._RANGES_PER_WORKER + 1 and not file.read()[cuts[-2] :].strip()
 
     def estimate():
@@ -815,7 +836,7 @@ def test_estimate_reads_a_large_file_in_ranges_as_in_one(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     one_range = estimate()
-    assert one_range[0] == 0 and one_range[1].startswith("n = 15000\n") and one_range[2] == ""
+    assert one_range[0] == 0 and one_range[1].startswith(f"n = {n}\n") and one_range[2] == ""
 
     # what every process does, logged through one O_APPEND file
     log = tmp_path / "log"
@@ -844,6 +865,29 @@ def test_estimate_reads_a_large_file_in_ranges_as_in_one(tmp_path, monkeypatch, 
     assert sorted(ranges) == sorted(str(span) for span in zip(cuts, cuts[1:]))
     assert [name for name, _, _ in calls].count("parse") == len(ranges)
     assert {name for name, _, _ in calls} == {"open", "range", "parse"}
+
+
+# numpy's "input contained no data" warning for the all-blank range, if a
+# process did not filter it, would raise there
+@pytest.mark.filterwarnings("error")
+def test_estimate_reads_a_large_file_in_ranges_as_in_one(tmp_path, monkeypatch, capfd):
+    values = np.random.default_rng(15).gamma(1.5, size=15_000)
+    payload = "\ufeff" + "".join(f" {value!r}\r\n" for value in values.tolist()) + "\n" * 600_000
+    path = tmp_path / "obs.txt"
+    path.write_text(payload, encoding="utf-8", newline="")
+    _check_reads_in_ranges_as_in_one(monkeypatch, capfd, tmp_path, path, 0, 15_000)
+
+
+@pytest.mark.filterwarnings("error")
+def test_estimate_reads_a_large_csv_in_ranges_as_in_one(tmp_path, monkeypatch, capfd):
+    values = np.random.default_rng(17).gamma(1.5, size=15_000)
+    header = "\ufeffid, region ,income,size\r\n"
+    rows = "".join(f"{i},north, {value!r},{i % 7}\r\n" for i, value in enumerate(values.tolist()))
+    path = tmp_path / "obs.csv"
+    path.write_text(header + rows + "\n" * 450_000, encoding="utf-8", newline="")
+    # the rows begin just after the header and its byte-order mark
+    start = len(header.encode())
+    _check_reads_in_ranges_as_in_one(monkeypatch, capfd, tmp_path, path, start, 15_000)
 
 
 def test_readme_examples(tmp_path, monkeypatch, capsys):
@@ -1068,3 +1112,52 @@ def test_module_entry_point():
     result = _run_module("population", "--alpha", "1.0")
     assert result.returncode == 0
     assert "theil_t = 0.422784335098" in result.stdout
+
+
+def test_main_leaves_the_collector_as_it_is(tmp_path, capsys):
+    data = tmp_path / "obs.txt"
+    data.write_text("1\n3\n")
+    frozen = gc.get_freeze_count()
+    assert run_cli(capsys, "population", "--alpha", "1")[0] == 0
+    assert run_cli(capsys, "estimate", "--correct", str(data))[0] == 0
+    assert run_cli(capsys, "population", "--alpha", "-1")[0] == 1
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["population", "--alpha", "1"],
+        ["population", "--alpha", "-1"],
+        ["population"],
+        ["estimate", "--correct", "obs.txt"],
+        ["estimate", "--correct", "single.txt"],
+    ],
+    ids=["ok", "domain-error", "usage-error", "estimate", "correction-unavailable"],
+)
+def test_module_exits_as_main_returns(tmp_path, monkeypatch, capsys, argv):
+    (tmp_path / "obs.txt").write_text("1\n3\n")
+    (tmp_path / "single.txt").write_text("4.0\n")
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    result = _run_module(*argv, cwd=tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (code, *capsys.readouterr())
+    assert code in (0, 1, 2, 3)
+
+
+def test_module_and_script_freeze_the_start_up_heap():
+    # `python -m gammaineq` runs the entry with the collector's objects
+    # frozen by the time the process exits; the console script is the same entry
+    script = (
+        "import atexit, gc, runpy, sys; "
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+        "sys.argv[1:] = ['population', '--alpha', '1']; "
+        "runpy.run_module('gammaineq', run_name='__main__', alter_sys=True)"
+    )
+    result = _run_python("-c", script)
+    assert result.returncode == 0 and result.stdout.endswith("\nfrozen True\n"), result
+    pyproject = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r"^gammaineq = \"(.*)\"$", pyproject, re.M) == ["gammaineq.cli:_entry"]

@@ -149,7 +149,7 @@ def _read_observations(path):
             try:
                 column = _income_column(next(csv.reader([first])))
                 is_csv = column is not None
-                values = _read_ranges(source, _rows_start(source, first) if is_csv else 0, column)
+                values = _read_ranges(source, _rows_start(source, first, column), column)
                 if values is None and is_csv:
                     lines = itertools.chain([first], handle)
                     # skip the header, whose `income` column is given, up
@@ -173,14 +173,20 @@ def _read_observations(path):
     return values
 
 
-def _rows_start(source, first):
-    """The offset of the byte just after the CSV header `first`, the input's
-    first non-blank line, when `source` is a file and the header is its
+def _rows_start(source, first, column):
+    """The offset of the byte where the rows that may be cut begin, or None
+    if the input is not to be cut: a pipe's held bytes. A one-value-per-line
+    file (`column` None) begins at 0. A CSV file begins just after its
+    header `first`, the input's first non-blank line, if the header is its
     first physical line, after an optional byte-order mark, holds no `"`
-    and ends in LF or CRLF; otherwise None. Only then is the header's end a
-    known byte: csv.reader reads a quoted field on over newlines, and
-    `open` also ends a line at a lone CR."""
-    if isinstance(source, io.BytesIO) or '"' in first or not first.endswith("\n"):
+    and ends in LF or CRLF; otherwise it is not cut. Only then is the
+    header's end a known byte: csv.reader reads a quoted field on over
+    newlines, and `open` also ends a line at a lone CR."""
+    if isinstance(source, io.BytesIO):
+        return None
+    if column is None:
+        return 0
+    if '"' in first or not first.endswith("\n"):
         return None
     header = first[:-1].encode()
     head = os.pread(source.fileno(), len(codecs.BOM_UTF8) + len(header) + 2, 0)
@@ -192,10 +198,9 @@ def _rows_start(source, first):
 
 
 def _read_ranges(source, start, column):
-    """The values of bytes [start, size) of the input, `source` being the open
-    file or a pipe's held bytes, parsed in ranges: one value per line if
-    `column` is None, else CSV rows with the value in `column`. None if
-    `source` is held bytes, `start` is None, the input is not cut or any
+    """The values of bytes [start, size) of the open file `source`, parsed in
+    ranges: one value per line if `column` is None, else CSV rows with the
+    value in `column`. None if `start` is None, the file is not cut or any
     range fails; the caller then parses the input in one pass.
 
     With k = min(available CPUs, size // _RANGE_BYTES) > 1, a file is cut
@@ -206,7 +211,7 @@ def _read_ranges(source, start, column):
     pass to decide as it always has. A line's value, or a CSV row's, does
     not depend on where its range begins, so the values are the ones a
     single pass gives."""
-    if start is None or isinstance(source, io.BytesIO):
+    if start is None:
         return None
     fd = source.fileno()
     size = os.fstat(fd).st_size

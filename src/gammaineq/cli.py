@@ -114,24 +114,21 @@ def _read_observations(path):
 
     The file is opened once, and the open file, never its path, is handed
     to numpy's C text reader (`np.loadtxt`). A file that cannot seek, such
-    as a pipe, is held in memory as bytes. A file of at least twice
-    `_RANGE_BYTES` is cut, just after newlines, into byte ranges that one
-    process per available CPU parses, this one and children forked from it
-    on Linux, each reading its ranges from the shared open file
-    (`_read_ranges`). A CSV file is cut only when its header is its first
-    line, ends in a newline and holds no `"` (`_rows_start`): its ranges
-    begin just after the header, and a range that holds a `"` fails.
-    Smaller files, pipes, other CSV files and any input of which a range
-    fails are parsed here in one pass. Values and errors are the same at any CPU count. Only when
-    numpy's read fails, or finds a value that is not finite and positive,
-    is the whole file read again from the start, line by line
-    (`_scan_lines`, `_scan_incomes`). What reaches the scan: any invalid
-    observation, a line of two numbers, a short CSV row or a CSV row of
-    blank fields, and spellings that `float` accepts but numpy does not,
-    such as `1_000` or non-ASCII digits. The scan raises the DomainError
-    naming the line of the first invalid observation, or returns the
-    values if there is none. A byte that is not UTF-8 is named by its
-    offset in the whole input.
+    as a pipe, is held in memory as bytes. The rows begin at the first byte
+    of a one-value-per-line file and just after a CSV file's header
+    (`_rows_start`). From there, a file of at least twice `_RANGE_BYTES` is
+    cut into ranges that one process per available CPU parses
+    (`_read_ranges`); smaller files, pipes and any input of which a range
+    fails are parsed here as one range, up to the end (`_read_range`).
+    Values and errors are the same at any CPU count. Only when numpy's read
+    fails, or finds a value that is not finite and positive, is the whole
+    file read again from the start, line by line (`_scan_lines`,
+    `_scan_incomes`). What reaches the scan: any invalid observation, a
+    line of two numbers, a short CSV row or a CSV row of blank fields, and
+    spellings that `float` accepts but numpy does not, such as `1_000` or
+    non-ASCII digits. The scan raises the DomainError naming the line of
+    the first invalid observation, or returns the values if there is none.
+    A byte that is not UTF-8 is named by its offset in the whole input.
 
     numpy's reader accepts two kinds of CSV file that the scan rejects: an
     income with the ASCII separator controls U+001C to U+001F around it,
@@ -139,30 +136,21 @@ def _read_observations(path):
     `csv.field_size_limit()`."""
     with open(path, "rb") as file:
         source = file if file.seekable() else io.BytesIO(file.read())
-        handle = io.TextIOWrapper(source, encoding="utf-8-sig")
         try:
-            first = next(filter(str.strip, handle), None)
-            if first is None:
-                raise DomainError(f"{path}: no observations found")
-            # a first line the csv module rejects is reported by the CSV scan
+            # a header the csv module rejects is reported by the CSV scan
             is_csv = True
             try:
-                column = _income_column(next(csv.reader([first])))
+                start, column = _rows_start(source)
                 is_csv = column is not None
-                values = _read_ranges(source, _rows_start(source, first, column), column)
-                if values is None and is_csv:
-                    lines = itertools.chain([first], handle)
-                    # skip the header, whose `income` column is given, up
-                    # to the end of its last quoted field
-                    next(csv.reader(lines))
-                    values = _loadtxt(lines, column)
-                elif values is None:
-                    source.seek(0)
-                    values = _read_range(source, True)
+                values = _read_ranges(source, start, column) if source is file else None
+                if values is None:
+                    source.seek(start)
+                    values = _read_range(source, start == 0, column)
             except csv.Error:
                 values = None
             if values is None or not (np.isfinite(values) & (values > 0.0)).all():
-                handle.seek(0)
+                source.seek(0)
+                handle = io.TextIOWrapper(source, encoding="utf-8-sig")
                 scan = _scan_incomes if is_csv else _scan_lines
                 values = np.array(scan(handle, path), dtype=float)
         except UnicodeDecodeError as exc:
@@ -173,65 +161,62 @@ def _read_observations(path):
     return values
 
 
-def _rows_start(source, first, column):
-    """The offset of the byte where the rows that may be cut begin, or None
-    if the input is not to be cut: a pipe's held bytes. A one-value-per-line
-    file (`column` None) begins at 0. A CSV file begins just after its
-    header `first`, the input's first non-blank line, if the header is its
-    first physical line, after an optional byte-order mark, holds no `"`
-    and ends in LF or CRLF; otherwise it is not cut. Only then is the
-    header's end a known byte: csv.reader reads a quoted field on over
-    newlines, and `open` also ends a line at a lone CR."""
-    if isinstance(source, io.BytesIO):
-        return None
-    if column is None:
-        return 0
-    if '"' in first or not first.endswith("\n"):
-        return None
-    header = first[:-1].encode()
-    head = os.pread(source.fileno(), len(codecs.BOM_UTF8) + len(header) + 2, 0)
-    bom = len(codecs.BOM_UTF8) if head.startswith(codecs.BOM_UTF8) else 0
-    for newline in (b"\n", b"\r\n"):
-        if head.startswith(header + newline, bom):
-            return bom + len(header) + len(newline)
-    return None
+def _rows_start(source):
+    """(start, column) of the binary stream `source`, read from its first
+    byte: the offset where the rows begin, and the index of the `income`
+    column in the header, the first non-blank line, after an optional
+    byte-order mark, read as a CSV row. Without it, (0, None): one value per
+    line. Else the rows begin just after the header record, which csv.reader
+    reads on over quoted newlines. A byte that is not UTF-8 raises
+    UnicodeDecodeError; a header the csv module rejects, csv.Error."""
+    start = len(codecs.BOM_UTF8) if source.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8 else 0
+    source.seek(0)
+    # newline="": each line keeps its own ending, LF, CRLF or a lone CR, so
+    # it encodes back to exactly its bytes
+    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+
+    def lines():
+        nonlocal start
+        for line in text:
+            start += len(line.encode())
+            yield line
+
+    try:
+        rest = lines()
+        first = next(filter(str.strip, rest), None)
+        column = None if first is None else _income_column(next(csv.reader([first])))
+        if column is None:
+            return 0, None
+        next(csv.reader(itertools.chain([first], rest)))
+    finally:
+        # leaves `source` open for its owner
+        text.detach()
+    return start, column
 
 
 def _read_ranges(source, start, column):
-    """The values of bytes [start, size) of the open file `source`, parsed in
-    ranges: one value per line if `column` is None, else CSV rows with the
-    value in `column`. None if `start` is None, the file is not cut or any
-    range fails; the caller then parses the input in one pass.
+    """The values of bytes [start, size) of the open file `source` parsed in
+    ranges, one value per line if `column` is None, else CSV rows with the
+    value in `column`; None if the file is not cut or any range fails. The
+    caller then parses it as one range, which decides which of an invalid
+    line and a byte that is not UTF-8 is met first: that can depend on how
+    far numpy reads ahead.
 
-    With k = min(available CPUs, size // _RANGE_BYTES) > 1, a file is cut
-    into _RANGES_PER_WORKER * k ranges (`_cuts`) that k processes parse,
-    this one and k - 1 forked from it (`_read_file_ranges`). Which of an
-    invalid line and a byte that is not UTF-8 is met first can depend on
-    how far numpy reads ahead, so a failing range leaves it to the single
-    pass to decide as it always has. A line's value, or a CSV row's, does
-    not depend on where its range begins, so the values are the ones a
-    single pass gives."""
-    if start is None:
-        return None
+    With k = min(available CPUs, size // _RANGE_BYTES) > 1, the bytes are
+    cut into _RANGES_PER_WORKER * k ranges (`_cuts`) that k processes parse,
+    this one and k - 1 forked from it, each taking the next range when done
+    with one (`fork_map`). A range's values are written to an unnamed spill
+    file at 8 * its first byte (`_read_file_range`), and only their count
+    comes back; they are read back here into one array, in range order. A
+    line's value, or a CSV row's, does not depend on where its range begins."""
     fd = source.fileno()
     size = os.fstat(fd).st_size
     # the CPUs this process may run on; a platform without the call gets one range
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, size // _RANGE_BYTES)
     cuts = _cuts(fd, size, _RANGES_PER_WORKER * workers if workers > 1 else 1, start)
-    return _read_file_ranges(fd, cuts, workers, column) if len(cuts) > 2 else None
-
-
-def _read_file_ranges(fd, cuts, workers, column):
-    """The values of the ranges between `cuts` of the open file `fd`, or
-    None if any range fails. `workers` processes parse them, this one and
-    children forked from it, which share the open file (`fork_map`); each
-    takes the next range when it is done with one. Where the platform does
-    not fork, this process parses every range, in turn. A range's values
-    are written to an unnamed spill file at 8 * the range's first byte,
-    which no value of an earlier range reaches, and only their count comes
-    back; they are read back here straight into one array, in range order,
-    with no pickled copy of them in any process."""
+    if len(cuts) <= 2:
+        return None
     with tempfile.TemporaryFile() as spill:
         try:
             counts = fork_map(
@@ -273,7 +258,9 @@ def _cuts(fd, size, parts, start=0):
 def _read_file_range(fd, spill, start, stop, column):
     """_read_range of bytes [start, stop) of the open file `fd`, written to
     the open file `spill` at 8 * start; returns the number of values, or
-    None where _read_range does."""
+    None where _read_range does and for CSV rows with a `"` in them: numpy
+    ends an unclosed quote at the end of its input, so both halves of a
+    quoted field that spans a cut would parse."""
     # the range's bytes, read at their offset: the file's offset, which
     # forked processes share, never moves
     chunks = []
@@ -281,7 +268,10 @@ def _read_file_range(fd, spill, start, stop, column):
     while at < stop and (chunk := os.pread(fd, stop - at, at)):
         chunks.append(chunk)
         at += len(chunk)
-    values = _read_range(io.BytesIO(b"".join(chunks)), start == 0, column)
+    data = b"".join(chunks)
+    if column is not None and b'"' in data:
+        return None
+    values = _read_range(io.BytesIO(data), start == 0, column)
     if values is None:
         return None
     data, at = memoryview(values).cast("B"), 8 * start
@@ -291,49 +281,34 @@ def _read_file_range(fd, spill, start, stop, column):
     return values.size
 
 
-def _read_range(binary, first, column=None):
-    """The values of one range of the input, read from the binary stream
-    `binary`: from the start of the input if `first`, where a byte-order
-    mark is skipped, else from just after a newline. The range holds one
-    value per line if `column` is None; else it holds CSV rows, with the
-    value in `column`, and `binary` is a BytesIO. Newlines are translated
-    as `open` does. Returns None where `_loadtxt` does, and for CSV rows
-    with a `"` in them: a quoted field that spans a cut has its opening
-    quote in one range and its closing quote in another, so one of them
-    fails. A byte that is not UTF-8 raises UnicodeDecodeError."""
-    # getvalue returns the bytes the BytesIO was made from, not a copy
-    if column is not None and b'"' in binary.getvalue():
-        return None
-    text = io.TextIOWrapper(binary, encoding="utf-8-sig" if first else "utf-8")
-    try:
-        return _loadtxt(text, column)
-    finally:
-        # leaves `binary` open for its owner
-        text.detach()
-
-
-def _loadtxt(lines, column):
-    """numpy's C reader on `lines`, a text stream or an iterable of lines:
-    one value per line if `column` is None, else CSV rows, each read on its
-    own, with the value in `column`. Returns the values, or None if numpy
-    fails or a line holds more than one number; a byte that is not UTF-8
-    raises UnicodeDecodeError."""
+def _read_range(binary, first, column):
+    """numpy's C reader on the binary stream `binary` from where it stands to
+    its end: from the start of the input if `first`, where a byte-order
+    mark is skipped, else from just after a newline. It holds one value per
+    line if `column` is None, else CSV rows, each read on its own, with the
+    value in `column`. Newlines are translated as `open` does. Returns the
+    values, or None if numpy fails or a line holds more than one number; a
+    byte that is not UTF-8 raises UnicodeDecodeError."""
     layout = (
         {"ndmin": 2}
         if column is None
         else {"delimiter": ",", "quotechar": '"', "usecols": column, "ndmin": 1}
     )
+    text = io.TextIOWrapper(binary, encoding="utf-8-sig" if first else "utf-8")
     try:
         with warnings.catch_warnings():
-            # blank lines only, or a header with no rows: the caller reports
-            # no observations
+            # no rows, or blank lines only: the caller reports no
+            # observations
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             # comments=None: numpy would otherwise read `1.5#x` as 1.5
-            values = np.loadtxt(lines, dtype=float, comments=None, **layout)
+            values = np.loadtxt(text, dtype=float, comments=None, **layout)
     except UnicodeDecodeError:
         raise
     except ValueError:
         return None
+    finally:
+        # leaves `binary` open for its owner
+        text.detach()
     if column is not None:
         return values
     return values[:, 0] if values.shape[1] == 1 else None
@@ -478,8 +453,10 @@ def cmd_simulate(args):
         rate=args.rate,
         master_seed=args.seed,
     )
-    # an --out that is a directory, or whose directory cannot be written,
-    # fails now, not after the grid
+    # an --out that names no file or a directory, or whose directory cannot
+    # be written, fails now, not after the grid
+    if os.path.basename(args.out) in ("", os.curdir, os.pardir):
+        raise DomainError(f"--out must name a file, got {args.out!r}")
     if os.path.isdir(args.out):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(args.out))).close()

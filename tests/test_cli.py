@@ -14,6 +14,7 @@ import shlex
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 
@@ -711,13 +712,20 @@ def _newline_ends(payload):
 
 
 def _ranges_outcome(payload, cuts, column=None):
-    # the values of the ranges between `cuts`, joined, or "fails" if any
-    # range fails as _read_ranges sees it: None, or a byte that is not UTF-8
-    try:
-        parts = [cli._read_range(io.BytesIO(payload[a:b]), a == 0, column) for a, b in zip(cuts, cuts[1:])]
-    except UnicodeDecodeError:
-        return "fails"
-    return "fails" if any(part is None for part in parts) else np.concatenate(parts).tobytes()
+    # the values of the ranges between `cuts`, each read from a file holding
+    # `payload` as _read_ranges reads it, joined, or "fails" if any range
+    # fails as _read_ranges sees it: None, or a byte that is not UTF-8
+    with tempfile.TemporaryFile() as file, tempfile.TemporaryFile() as spill:
+        file.write(payload)
+        file.flush()
+        spans = list(zip(cuts, cuts[1:]))
+        try:
+            counts = [cli._read_file_range(file.fileno(), spill.fileno(), a, b, column) for a, b in spans]
+        except UnicodeDecodeError:
+            return "fails"
+        if None in counts:
+            return "fails"
+        return b"".join(os.pread(spill.fileno(), 8 * count, 8 * a) for (a, _), count in zip(spans, counts))
 
 
 def _read_in_ranges(monkeypatch, path, cuts):
@@ -732,21 +740,34 @@ def _read_in_ranges(monkeypatch, path, cuts):
 
 
 RANGE_TOKENS = [token.encode() for token in BODY_TOKENS] + ["\ufeff".encode(), b"\xff"]
-# no header: one value per line; else a CSV header that the rows are cut after
-RANGE_HEADERS = [b"", b"income\n", b"id,income\r\n", b" a , income ,b\n", b'"income\n']
+# (header, the income column it names): the header's first non-blank line,
+# read as a CSV row, decides. With no column the file holds one value per
+# line, read from its first byte; else the rows are cut after the header,
+# which may run on over quoted newlines
+RANGE_HEADERS = [
+    (b"", None),
+    (b"income\n", 0),
+    (b"id,income\r\n", 1),
+    (b" a , income ,b\n", 1),
+    (b'"income\n', 0),
+    (b"\n\nid,income\n", 1),
+    (b'income,"x\ny"\n', 0),
+    (b"id,income\r", 1),
+    (b'a,"x\ny",income\n', None),
+]
 
 
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     bom=st.booleans(),
-    header=st.sampled_from(RANGE_HEADERS),
+    layout=st.sampled_from(RANGE_HEADERS),
     body=st.lists(st.sampled_from(RANGE_TOKENS), max_size=30).map(b"".join),
     data=st.data(),
 )
-def test_ranges_cut_after_any_newlines_read_as_one_range(tmp_path, monkeypatch, bom, header, body, data):
-    start = (3 if bom else 0) + len(header)
+def test_ranges_cut_after_any_newlines_read_as_one_range(tmp_path, monkeypatch, bom, layout, body, data):
+    header, column = layout
+    start = 0 if column is None else (3 if bom else 0) + len(header)
     payload = (b"\xef\xbb\xbf" if bom else b"") + header + body
-    column = cli._income_column(next(csv.reader([header.decode()]))) if header else None
     ends = [end for end in _newline_ends(payload) if end > start]
     cuts = sorted(data.draw(st.sets(st.sampled_from(ends or [start]))) - {start})
     # the range function: the joined ranges hold the one range's values, or
@@ -781,12 +802,18 @@ def test_ranges_cut_after_any_newlines_read_as_one_range(tmp_path, monkeypatch, 
         (b'income,note\n1,"x\n2,y\n3,"\n4,z\n', [1.0, 4.0]),
         # the header's quoted field runs to the end: there are no rows
         (b'"income\n1\n2\n', "no observations found"),
+        (b"\n \r\n\nid,income\n1,1\n2,2\n3,3\n", [1.0, 2.0, 3.0]),
+        (b'income,"x\ny\n"\n1,a\n2,b\n3\n', [1.0, 2.0, 3.0]),
+        (b"id,income\r1,1\n2,2\r\n3,3\n", [1.0, 2.0, 3.0]),
+        # the header's first line names no income column: one value per line
+        (b'a,"x\ny",income\n1,2,3\n', "line 1: could not parse observation 'a,\"x'"),
     ],
     ids=["bom", "crlf-and-lone-cr", "blank-lines-at-cuts", "bom-char-starts-a-range",
          "invalid-in-last-range", "not-utf8-in-last-range", "csv-bom", "csv-crlf-and-lone-cr",
          "csv-blank-rows-at-cuts", "csv-short-row-in-last-range", "csv-not-utf8-in-last-range",
          "csv-quoted-fields", "csv-quoted-field-across-cuts", "csv-unclosed-quote-in-a-range",
-         "csv-header-unclosed-quote"],
+         "csv-header-unclosed-quote", "csv-blank-lines-before-header", "csv-quoted-header-across-lines",
+         "csv-lone-cr-header", "header-first-line-names-no-income"],
 )
 def test_every_choice_of_cuts_reads_as_one_range(tmp_path, monkeypatch, payload, expected):
     path = tmp_path / "obs.txt"
@@ -886,6 +913,18 @@ def test_estimate_reads_a_large_csv_in_ranges_as_in_one(tmp_path, monkeypatch, c
     path = tmp_path / "obs.csv"
     path.write_text(header + rows + "\n" * 450_000, encoding="utf-8", newline="")
     # the rows begin just after the header and its byte-order mark
+    start = len(header.encode())
+    _check_reads_in_ranges_as_in_one(monkeypatch, capfd, tmp_path, path, start, 15_000)
+
+
+@pytest.mark.filterwarnings("error")
+def test_estimate_reads_a_large_csv_with_a_quoted_header_after_blank_lines_in_ranges(tmp_path, monkeypatch, capfd):
+    values = np.random.default_rng(20).gamma(1.5, size=15_000)
+    header = '\ufeff\n \r\n"id","region",income,"size,\nin m2"\r\n'
+    rows = "".join(f"{i},north, {value!r},{i % 7}\n" for i, value in enumerate(values.tolist()))
+    path = tmp_path / "obs.csv"
+    path.write_text(header + rows + "\n" * 450_000, encoding="utf-8", newline="")
+    # the rows begin just after the header record, its quoted newline included
     start = len(header.encode())
     _check_reads_in_ranges_as_in_one(monkeypatch, capfd, tmp_path, path, start, 15_000)
 
@@ -1106,6 +1145,17 @@ def test_simulate_unwritable_path_exits_1(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, "simulate", "--out", str(tmp_path / "x.csv"))[0] == 0
     assert len(calls) == 1
     assert [path.name for path in tmp_path.iterdir()] == ["x.csv"]
+    # an --out that names no file is reported before the grid, and nothing
+    # is written, not even in the parent of the working directory
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for out in ("", "newname/", "newname/."):
+        code, stdout, err = run_cli(capsys, "simulate", "--out", out)
+        assert (code, stdout, len(calls)) == (1, "", 1)
+        assert err == f"gammaineq: --out must name a file, got {out!r}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["work", "x.csv"]
+    assert not any(work.iterdir())
 
 
 def test_module_entry_point():

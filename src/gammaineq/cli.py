@@ -6,23 +6,17 @@ Exit codes: 0 success, 1 domain or data error, 2 usage error,
 """
 
 import argparse
-import codecs
 import csv
 import dataclasses
 import errno
 import gc
-import io
-import itertools
-import math
 import os
 import sys
 import tempfile
 import time
-import warnings
 
-import numpy as np
-
-from ._fork import fork_map
+# cmd_estimate calls the reader by this name, which bench/tracer.py wraps
+from ._read import _read_observations
 from .exceptions import (
     CorrectionUnavailableError,
     DegenerateSampleError,
@@ -54,27 +48,6 @@ from .simulation import (
 
 CSV_HEADER = tuple(field.name for field in dataclasses.fields(SimSummary))
 
-# A file that is cut into ranges (`_read_ranges`) is parsed by k =
-# min(available CPUs, size // _RANGE_BYTES) processes when k > 1. Twice this
-# size is where a forked second process starts to pay on a 2-core machine,
-# in both formats. _read_observations timed once per fresh interpreter,
-# alternating pairs of one pass against two processes, median ms (pairs
-# with two faster): one value per line, 22.6 against 24.6 on a 0.5 MiB file
-# (4 of 20), 45.7 against 38.1 on 1 MiB (14 of 20), 70.1 against 59.2 on
-# 2 MiB (15 of 20) and 172 against 114 on 4 MiB (20 of 20); a CSV of four
-# columns, which numpy parses about 1.5 times as fast per byte, 15.3
-# against 17.0 on 0.5 MiB (0 of 12), 27.8 against 23.5 on 1 MiB (13 of 20),
-# 55.2 against 41.3 on 2 MiB (12 of 12) and 95.7 against 67.9 on 4 MiB
-# (10 of 12).
-_RANGE_BYTES = 2**19
-
-# The file is cut into this many ranges per process, handed out in turn,
-# so that a process the host slows down parses fewer of them.
-_RANGES_PER_WORKER = 4
-
-# How far _cuts reads at a time looking for a newline.
-_SCAN_BYTES = 2**16
-
 
 def _fmt(value):
     # human-readable: 12 significant digits, trailing zeros kept
@@ -103,275 +76,6 @@ def _parse_rate(text):
 def _check_flag_positive(value, flag):
     if value <= 0:
         raise DomainError(f"{flag} must be strictly positive, got {value:g}")
-    return value
-
-
-def _read_observations(path):
-    """Parse a UTF-8 data file (optionally with a byte-order mark): either one
-    positive number per line, or CSV with an `income` column, detected from
-    the first non-blank line read as a CSV row. Blank lines are ignored.
-    Returns the observations as a float64 array.
-
-    The file is opened once, and the open file, never its path, is handed
-    to numpy's C text reader (`np.loadtxt`). A file that cannot seek, such
-    as a pipe, is held in memory as bytes. The rows begin at the first byte
-    of a one-value-per-line file and just after a CSV file's header
-    (`_rows_start`). From there, a file of at least twice `_RANGE_BYTES` is
-    cut into ranges that one process per available CPU parses
-    (`_read_ranges`); smaller files, pipes and any input of which a range
-    fails are parsed here as one range, up to the end (`_read_range`).
-    Values and errors are the same at any CPU count. Only when numpy's read
-    fails, or finds a value that is not finite and positive, is the whole
-    file read again from the start, line by line (`_scan_lines`,
-    `_scan_incomes`). What reaches the scan: any invalid observation, a
-    line of two numbers, a short CSV row or a CSV row of blank fields, and
-    spellings that `float` accepts but numpy does not, such as `1_000` or
-    non-ASCII digits. The scan raises the DomainError naming the line of
-    the first invalid observation, or returns the values if there is none.
-    A byte that is not UTF-8 is named by its offset in the whole input.
-
-    numpy's reader accepts two kinds of CSV file that the scan rejects: an
-    income with the ASCII separator controls U+001C to U+001F around it,
-    which numpy strips and `float` does not, and a field longer than
-    `csv.field_size_limit()`."""
-    with open(path, "rb") as file:
-        source = file if file.seekable() else io.BytesIO(file.read())
-        try:
-            # a header the csv module rejects is reported by the CSV scan
-            is_csv = True
-            try:
-                start, column = _rows_start(source)
-                is_csv = column is not None
-                values = _read_ranges(source, start, column) if source is file else None
-                if values is None:
-                    source.seek(start)
-                    values = _read_range(source, start == 0, column)
-            except csv.Error:
-                values = None
-            if values is None or not (np.isfinite(values) & (values > 0.0)).all():
-                source.seek(0)
-                handle = io.TextIOWrapper(source, encoding="utf-8-sig")
-                scan = _scan_incomes if is_csv else _scan_lines
-                values = np.array(scan(handle, path), dtype=float)
-        except UnicodeDecodeError as exc:
-            source.seek(0)
-            raise _not_utf8(path, source.read(), exc) from None
-    if values.size == 0:
-        raise DomainError(f"{path}: no observations found")
-    return values
-
-
-def _rows_start(source):
-    """(start, column) of the binary stream `source`, read from its first
-    byte: the offset where the rows begin, and the index of the `income`
-    column in the header, the first non-blank line, after an optional
-    byte-order mark, read as a CSV row. Without it, (0, None): one value per
-    line. Else the rows begin just after the header record, which csv.reader
-    reads on over quoted newlines. A byte that is not UTF-8 raises
-    UnicodeDecodeError; a header the csv module rejects, csv.Error."""
-    start = len(codecs.BOM_UTF8) if source.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8 else 0
-    source.seek(0)
-    # newline="": each line keeps its own ending, LF, CRLF or a lone CR, so
-    # it encodes back to exactly its bytes
-    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-
-    def lines():
-        nonlocal start
-        for line in text:
-            start += len(line.encode())
-            yield line
-
-    try:
-        rest = lines()
-        first = next(filter(str.strip, rest), None)
-        column = None if first is None else _income_column(next(csv.reader([first])))
-        if column is None:
-            return 0, None
-        next(csv.reader(itertools.chain([first], rest)))
-    finally:
-        # leaves `source` open for its owner
-        text.detach()
-    return start, column
-
-
-def _read_ranges(source, start, column):
-    """The values of bytes [start, size) of the open file `source` parsed in
-    ranges, one value per line if `column` is None, else CSV rows with the
-    value in `column`; None if the file is not cut or any range fails. The
-    caller then parses it as one range, which decides which of an invalid
-    line and a byte that is not UTF-8 is met first: that can depend on how
-    far numpy reads ahead.
-
-    With k = min(available CPUs, size // _RANGE_BYTES) > 1, the bytes are
-    cut into _RANGES_PER_WORKER * k ranges (`_cuts`) that k processes parse,
-    this one and k - 1 forked from it, each taking the next range when done
-    with one (`fork_map`). A range's values are written to an unnamed spill
-    file at 8 * its first byte (`_read_file_range`), and only their count
-    comes back; they are read back here into one array, in range order. A
-    line's value, or a CSV row's, does not depend on where its range begins."""
-    fd = source.fileno()
-    size = os.fstat(fd).st_size
-    # the CPUs this process may run on; a platform without the call gets one range
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, size // _RANGE_BYTES)
-    cuts = _cuts(fd, size, _RANGES_PER_WORKER * workers if workers > 1 else 1, start)
-    if len(cuts) <= 2:
-        return None
-    with tempfile.TemporaryFile() as spill:
-        try:
-            counts = fork_map(
-                lambda span: _read_file_range(fd, spill.fileno(), *span, column=column),
-                zip(cuts, cuts[1:]),
-                workers,
-            )
-        except UnicodeDecodeError:
-            return None
-        if None in counts:
-            return None
-        values = np.empty(sum(counts))
-        for start, part in zip(cuts, np.split(values, np.cumsum(counts[:-1]))):
-            spill.seek(8 * start)
-            spill.readinto(part)
-    return values
-
-
-def _cuts(fd, size, parts, start=0):
-    """Offsets start < c1 < ... < size cutting bytes [start, size) of the
-    open file `fd` of `size` bytes into at most `parts` ranges of about
-    equal size, each cut just after a newline, so that no line, CRLF pair
-    or UTF-8 character is split. With fewer than two parts, [start, size]."""
-    cuts = [start]
-    for i in range(1, parts):
-        at = max(start + (size - start) * i // parts, cuts[-1])
-        while at < size:
-            found = os.pread(fd, _SCAN_BYTES, at).find(b"\n")
-            if found >= 0:
-                cuts.append(at + found + 1)
-                break
-            at += _SCAN_BYTES
-        else:
-            # no newline after `at`: no later cut either
-            break
-    return [cut for cut in cuts if cut < size] + [size]
-
-
-def _read_file_range(fd, spill, start, stop, column):
-    """_read_range of bytes [start, stop) of the open file `fd`, written to
-    the open file `spill` at 8 * start; returns the number of values, or
-    None where _read_range does and for CSV rows with a `"` in them: numpy
-    ends an unclosed quote at the end of its input, so both halves of a
-    quoted field that spans a cut would parse."""
-    # the range's bytes, read at their offset: the file's offset, which
-    # forked processes share, never moves
-    chunks = []
-    at = start
-    while at < stop and (chunk := os.pread(fd, stop - at, at)):
-        chunks.append(chunk)
-        at += len(chunk)
-    data = b"".join(chunks)
-    if column is not None and b'"' in data:
-        return None
-    values = _read_range(io.BytesIO(data), start == 0, column)
-    if values is None:
-        return None
-    data, at = memoryview(values).cast("B"), 8 * start
-    while data:
-        written = os.pwrite(spill, data, at)
-        data, at = data[written:], at + written
-    return values.size
-
-
-def _read_range(binary, first, column):
-    """numpy's C reader on the binary stream `binary` from where it stands to
-    its end: from the start of the input if `first`, where a byte-order
-    mark is skipped, else from just after a newline. It holds one value per
-    line if `column` is None, else CSV rows, each read on its own, with the
-    value in `column`. Newlines are translated as `open` does. Returns the
-    values, or None if numpy fails or a line holds more than one number; a
-    byte that is not UTF-8 raises UnicodeDecodeError."""
-    layout = (
-        {"ndmin": 2}
-        if column is None
-        else {"delimiter": ",", "quotechar": '"', "usecols": column, "ndmin": 1}
-    )
-    text = io.TextIOWrapper(binary, encoding="utf-8-sig" if first else "utf-8")
-    try:
-        with warnings.catch_warnings():
-            # no rows, or blank lines only: the caller reports no
-            # observations
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            # comments=None: numpy would otherwise read `1.5#x` as 1.5
-            values = np.loadtxt(text, dtype=float, comments=None, **layout)
-    except UnicodeDecodeError:
-        raise
-    except ValueError:
-        return None
-    finally:
-        # leaves `binary` open for its owner
-        text.detach()
-    if column is not None:
-        return values
-    return values[:, 0] if values.shape[1] == 1 else None
-
-
-def _income_column(header):
-    """Index of the header's column named `income` once stripped (the last
-    one if several are), or None."""
-    names = [name.strip() for name in header]
-    return max((i for i, name in enumerate(names) if name == "income"), default=None)
-
-
-def _scan_lines(lines, path):
-    # `lines`, a file, splits at newlines only, not also at \v, \f, ...
-    return [
-        _parse_observation(line.strip(), path, line_num)
-        for line_num, line in enumerate(lines, start=1)
-        if line.strip()
-    ]
-
-
-def _scan_incomes(lines, path):
-    """A row whose fields are all blank is skipped unless it is longer than
-    the header; `line_num` counts physical lines, so a quoted field that
-    spans lines does not shift the line reported. A row the csv module
-    rejects, such as one with a field over `csv.field_size_limit()`, raises
-    DomainError naming its line."""
-    reader = csv.reader(lines)
-    try:
-        header = next(row for row in reader if "".join(row).strip())
-        column = _income_column(header)
-        values = []
-        for row in reader:
-            if len(row) <= len(header) and not "".join(row).strip():
-                continue
-            raw = row[column] if column is not None and column < len(row) else ""
-            if not raw.strip():
-                raise DomainError(f"{path}: line {reader.line_num}: missing income value")
-            values.append(_parse_observation(raw, path, reader.line_num))
-    except csv.Error as exc:
-        raise DomainError(f"{path}: line {reader.line_num}: {exc}") from None
-    return values
-
-
-def _not_utf8(path, data, exc):
-    # `exc` counts bytes from the start of the chunk being decoded; decoding
-    # all of `data`, the input from its first byte, counts from the start
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as whole_input:
-        exc = whole_input
-    return DomainError(f"{path}: byte {exc.start}: not UTF-8 text ({exc.reason})")
-
-
-def _parse_observation(raw, path, line_num):
-    try:
-        value = float(raw)
-    except ValueError:
-        raise DomainError(f"{path}: line {line_num}: could not parse observation {raw!r}")
-    if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(
-            f"{path}: line {line_num}: observation must be strictly positive and finite, got {raw}"
-        )
     return value
 
 

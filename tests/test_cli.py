@@ -2,6 +2,7 @@
 byte-stable CSV export."""
 
 import csv
+import ctypes
 import gc
 import hashlib
 import io
@@ -17,6 +18,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import append_line, numpy_build_note, pinned_gamma_sample, read_lines, wait_for
-from gammaineq import DomainError, Sample, SimConfig, cli, run_grid, simulation
+from gammaineq import DomainError, Sample, SimConfig, _read, cli, run_grid, simulation
 from gammaineq.cli import CSV_HEADER, main
 
 
@@ -315,10 +317,26 @@ def test_estimate_accepts_bom_spaced_header_and_leading_blanks(tmp_path, capsys,
     assert run_cli(capsys, "estimate", str(data)) == (0, PAIR_STDOUT, "")
 
 
+def _rejected_row_then_bad_byte(first_line, offset):
+    # a row numpy rejects, `abc`, on line 2, and the byte \xff at `offset`
+    head = first_line + b"abc\n"
+    filler = b"1\n" * ((offset - len(head)) // 2) + b"1" * ((offset - len(head)) % 2)
+    return head + filler + b"\xff\n2\n"
+
+
+# a byte that is not UTF-8 is named wherever it is, also after a row that
+# fails earlier in the file, and whatever decoded chunks hold the two
 NON_UTF8_PAYLOADS = pytest.mark.parametrize(
     "payload, offset",
-    [(b"1.5\n\xff\xfe2\n", 4), (b"\xef\xbb\xbf1.5\n\xff\xfe2\n", 7), (b"1\n" * 50_000 + b"\xc3(", 100_000)],
-    ids=["second-line", "after-bom", "past-first-read-chunk"],
+    [
+        (b"1.5\n\xff\xfe2\n", 4),
+        (b"\xef\xbb\xbf1.5\n\xff\xfe2\n", 7),
+        (b"1\n" * 50_000 + b"\xc3(", 100_000),
+        *((_rejected_row_then_bad_byte(first_line, offset), offset)
+          for first_line in (b"1\n", b"id,income\n") for offset in (8_300, 20_000)),
+    ],
+    ids=["second-line", "after-bom", "past-first-read-chunk", "after-rejected-line-8300",
+         "after-rejected-line-20000", "after-rejected-csv-row-8300", "after-rejected-csv-row-20000"],
 )
 
 
@@ -357,10 +375,15 @@ def test_estimate_non_utf8_on_a_pipe_names_the_byte_a_file_names(payload, offset
         # str.splitlines would also split at \f and \v; the file's lines end at newlines
         ("1\n\x0c\nabc\n", "line 3: could not parse observation 'abc'"),
         ("1\n2\x0b3\n", "line 2: could not parse observation '2\\x0b3'"),
+        # a quoted field that the file never closes would take every later
+        # row; it is named before any invalid value
+        ('income,note\n1,"x\n2,y\n3,z\n', "line 2: quoted field opened here is never closed"),
+        ('id,income\n1,-1\n2,3,"x\n\n3,z\n', "line 3: quoted field opened here is never closed"),
     ],
     ids=[
         "unparseable", "negative", "zero", "inf", "nan", "missing-income", "csv-unparseable",
         "short-row", "multiline-field", "over-long-field", "form-feed-line", "vertical-tab",
+        "unclosed-quote", "unclosed-quote-after-invalid-value",
     ],
 )
 def test_estimate_error_messages(tmp_path, capsys, payload, message):
@@ -386,9 +409,9 @@ def test_read_observations_matches_float_per_line(tmp_path, lines, ending):
     expected = [float(line) for line in lines if line.strip()]
     if not expected:
         with pytest.raises(DomainError, match="no observations found"):
-            cli._read_observations(str(data))
+            _read._read_observations(str(data))
         return
-    values = cli._read_observations(str(data))
+    values = _read._read_observations(str(data))
     assert values.dtype == np.float64
     assert values.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
@@ -396,13 +419,13 @@ def test_read_observations_matches_float_per_line(tmp_path, lines, ending):
 def _count_scans(monkeypatch):
     calls = {}
     for name in ("_scan_lines", "_scan_incomes"):
-        original = getattr(cli, name)
+        original = getattr(_read, name)
 
         def counted(*args, name=name, original=original):
             calls[name] = calls.get(name, 0) + 1
             return original(*args)
 
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(_read, name, counted)
     return calls
 
 
@@ -415,12 +438,12 @@ def test_valid_files_never_reach_the_line_by_line_scan(tmp_path, monkeypatch):
     for name, payload in valid.items():
         data = tmp_path / name
         data.write_bytes(payload)
-        assert cli._read_observations(str(data)).tolist() == [1.5, 2e-3, 1000.0], name
+        assert _read._read_observations(str(data)).tolist() == [1.5, 2e-3, 1000.0], name
     assert calls == {}
     data = tmp_path / "bad.csv"
     data.write_bytes(b"id,income\n1,2\n2,-1\n")
     with pytest.raises(DomainError, match="line 3"):
-        cli._read_observations(str(data))
+        _read._read_observations(str(data))
     assert calls == {"_scan_incomes": 1}
 
 
@@ -440,7 +463,7 @@ def test_spellings_only_float_accepts_are_read_by_the_scan(tmp_path, monkeypatch
     calls = _count_scans(monkeypatch)
     data = tmp_path / "obs.txt"
     data.write_bytes(payload)
-    assert cli._read_observations(str(data)).tolist() == [1.5, 2e-3, 1000.0]
+    assert _read._read_observations(str(data)).tolist() == [1.5, 2e-3, 1000.0]
     assert calls == {scan: 1}
 
 
@@ -450,14 +473,14 @@ def test_csv_income_between_ascii_separator_controls_is_read(tmp_path, monkeypat
     calls = _count_scans(monkeypatch)
     data = tmp_path / "obs.csv"
     data.write_bytes(b"income\n\x1c1.5\n2\x1f\n\x1d3\x1e\n")
-    assert cli._read_observations(str(data)).tolist() == [1.5, 2.0, 3.0]
+    assert _read._read_observations(str(data)).tolist() == [1.5, 2.0, 3.0]
     assert calls == {}
     with pytest.raises(ValueError):
         float("\x1c1.5")
     # in a one-value-per-line file they separate two numbers, as a space does
     data.write_bytes(b"1.5\n2\x1c3\n")
     with pytest.raises(DomainError, match="line 2: could not parse observation '2\\\\x1c3'"):
-        cli._read_observations(str(data))
+        _read._read_observations(str(data))
 
 
 def test_csv_overlong_non_income_field_is_read(tmp_path):
@@ -465,7 +488,7 @@ def test_csv_overlong_non_income_field_is_read(tmp_path):
     # 200,000 digits is inf, so the scan reports it (over-long-field above)
     data = tmp_path / "obs.csv"
     data.write_text("id,income\n" + "x" * 200_000 + ",1.5\n2,3\n")
-    assert cli._read_observations(str(data)).tolist() == [1.5, 3.0]
+    assert _read._read_observations(str(data)).tolist() == [1.5, 3.0]
 
 
 def test_reader_opens_the_file_once_and_never_passes_numpy_a_path(tmp_path, monkeypatch):
@@ -482,7 +505,7 @@ def test_reader_opens_the_file_once_and_never_passes_numpy_a_path(tmp_path, monk
         return np_loadtxt(source, *args, **kwargs)
 
     np_loadtxt = np.loadtxt
-    monkeypatch.setattr(cli, "open", counted_open, raising=False)
+    monkeypatch.setattr(_read, "open", counted_open, raising=False)
     monkeypatch.setattr(np, "loadtxt", checked_loadtxt)
     # the last two are read again by the scan, from the same open file
     payloads = {
@@ -496,7 +519,7 @@ def test_reader_opens_the_file_once_and_never_passes_numpy_a_path(tmp_path, monk
         data.write_text(payload)
         opened.clear()
         loaded.clear()
-        assert cli._read_observations(str(data))[0] == 1.0, name
+        assert _read._read_observations(str(data))[0] == 1.0, name
         assert (opened, len(loaded)) == ([str(data)], 1), name
     # the offset of a byte that is not UTF-8, past the first decoded chunk,
     # is counted by reading the same open file again
@@ -504,7 +527,7 @@ def test_reader_opens_the_file_once_and_never_passes_numpy_a_path(tmp_path, monk
     data.write_bytes(b"1\n" * 5_000 + b"\xff\n")
     opened.clear()
     with pytest.raises(DomainError, match="byte 10000: not UTF-8 text"):
-        cli._read_observations(str(data))
+        _read._read_observations(str(data))
     assert opened == [str(data)]
 
 
@@ -514,7 +537,7 @@ def _read_fifo(fifo, payload):
     writer = threading.Thread(target=fifo.write_bytes, args=(payload,), daemon=True)
     writer.start()
     try:
-        return _read_outcome(cli._read_observations, str(fifo))
+        return _read_outcome(_read._read_observations, str(fifo))
     finally:
         writer.join(timeout=60)
         assert not writer.is_alive()
@@ -570,7 +593,7 @@ def test_importing_the_cli_loads_no_multiprocessing(tmp_path):
     # two workers
     data = tmp_path / "obs.txt"
     data.write_text("1\n3\n" * 300_000)
-    assert data.stat().st_size >= 2 * cli._RANGE_BYTES
+    assert data.stat().st_size >= 2 * _read._RANGE_BYTES
     script = (
         "import sys; from gammaineq import cli; code = cli.main(sys.argv[1:]); "
         f"print({loaded}); sys.exit(code)"
@@ -594,8 +617,11 @@ def test_estimate_header_only_csv_prints_only_the_error(tmp_path):
 
 @pytest.mark.parametrize(
     "payload",
-    ["1\n3\n2.5\n", "id,income\na,1\nb,3\nc,2.5\n", "1\n3\n2_5\n", "1\nfoo\n", "1\r\n3\r2.5\n"],
-    ids=["lines", "csv", "scan", "invalid", "crlf-and-cr"],
+    [
+        "1\n3\n2.5\n", "id,income\na,1\nb,3\nc,2.5\n", "1\n3\n2_5\n", "1\nfoo\n", "1\r\n3\r2.5\n",
+        'income,note\n1,"x\n2,y\n',
+    ],
+    ids=["lines", "csv", "scan", "invalid", "crlf-and-cr", "unclosed-quote"],
 )
 def test_estimate_reads_stdin_as_it_reads_a_file(tmp_path, payload):
     # a pipe cannot be opened twice, so what the scan reads again is kept
@@ -623,7 +649,7 @@ def _reference_read_observations(path):
             lines = itertools.chain([first], handle)
             is_csv = True
             try:
-                column = cli._income_column(next(csv.reader([first])))
+                column = _read._income_column(next(csv.reader([first])))
                 is_csv = column is not None
                 values = (
                     _reference_bulk_incomes(lines, column) if is_csv else _reference_bulk_lines(lines)
@@ -632,9 +658,15 @@ def _reference_read_observations(path):
                 raise
             except (ValueError, IndexError, csv.Error):
                 values = None
+        # the one rule the reader gained since: a CSV whose quoted field is
+        # still open at the end of the file is refused, naming its line
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            opened = _reference_open_quote(handle.read()) if is_csv else None
+        if opened is not None:
+            raise DomainError(f"{path}: line {opened}: quoted field opened here is never closed")
         if values is None or not (np.isfinite(values) & (values > 0.0)).all():
             with open(path, "r", encoding="utf-8-sig") as handle:
-                scan = cli._scan_incomes if is_csv else cli._scan_lines
+                scan = _read._scan_incomes if is_csv else _read._scan_lines
                 values = np.array(scan(handle, path), dtype=float)
     except UnicodeDecodeError as exc:
         raise _reference_not_utf8(path, exc) from None
@@ -653,6 +685,26 @@ def _reference_not_utf8(path, exc):
     except UnicodeDecodeError as whole_file:
         exc = whole_file
     return DomainError(f"{path}: byte {exc.start}: not UTF-8 text ({exc.reason})")
+
+
+def _reference_open_quote(text):
+    # the csv module's states, one character at a time: the line where a
+    # quoted field opens that is still open at the end of `text`, or None
+    line, opened, state = 1, None, "start"
+    for char in text:
+        if state == "quoted":
+            state = "quote" if char == '"' else "quoted"
+        elif char == '"' and state != "field":
+            # a quote at a field's start opens it; after a closing quote,
+            # a second one is a quote inside the field
+            opened = line if state == "start" else opened
+            state = "quoted"
+        elif char in ",\n":
+            state = "start"
+        else:
+            state = "field"
+        line += char == "\n"
+    return opened if state == "quoted" else None
 
 
 def _reference_bulk_lines(lines):
@@ -690,7 +742,7 @@ def test_reader_matches_the_reference_reader(tmp_path, bom, header, body):
     text = (header + "\n" if header else "") + body
     data = tmp_path / "obs.txt"
     data.write_bytes(("\ufeff" if bom else "").encode() + text.encode())
-    live = _read_outcome(cli._read_observations, str(data))
+    live = _read_outcome(_read._read_observations, str(data))
     reference = _read_outcome(_reference_read_observations, str(data))
     if live != reference and "\x1c" in text and isinstance(live, bytes):
         # the one difference allowed here, fixed by
@@ -714,15 +766,12 @@ def _newline_ends(payload):
 def _ranges_outcome(payload, cuts, column=None):
     # the values of the ranges between `cuts`, each read from a file holding
     # `payload` as _read_ranges reads it, joined, or "fails" if any range
-    # fails as _read_ranges sees it: None, or a byte that is not UTF-8
+    # fails, a byte that is not UTF-8 included
     with tempfile.TemporaryFile() as file, tempfile.TemporaryFile() as spill:
         file.write(payload)
         file.flush()
         spans = list(zip(cuts, cuts[1:]))
-        try:
-            counts = [cli._read_file_range(file.fileno(), spill.fileno(), a, b, column) for a, b in spans]
-        except UnicodeDecodeError:
-            return "fails"
+        counts = [_read._read_file_range(file.fileno(), spill.fileno(), a, b, column) for a, b in spans]
         if None in counts:
             return "fails"
         return b"".join(os.pread(spill.fileno(), 8 * count, 8 * a) for (a, _), count in zip(spans, counts))
@@ -733,10 +782,10 @@ def _read_in_ranges(monkeypatch, path, cuts):
     # first byte of their ranges, and the ranges read here, one after another
     with monkeypatch.context() as patch:
         patch.setattr(
-            cli, "_cuts", lambda fd, size, parts, start: [start, *(cut for cut in cuts if cut > start), size]
+            _read, "_cuts", lambda fd, size, parts, start: [start, *(cut for cut in cuts if cut > start), size]
         )
-        patch.setattr(cli, "fork_map", _in_process_fork_map)
-        return _read_outcome(cli._read_observations, path)
+        patch.setattr(_read, "fork_map", _in_process_fork_map)
+        return _read_outcome(_read._read_observations, path)
 
 
 RANGE_TOKENS = [token.encode() for token in BODY_TOKENS] + ["\ufeff".encode(), b"\xff"]
@@ -778,7 +827,7 @@ def test_ranges_cut_after_any_newlines_read_as_one_range(tmp_path, monkeypatch, 
     # the reader: the same values or the same error as one range gives
     path = tmp_path / "obs.txt"
     path.write_bytes(payload)
-    assert _read_in_ranges(monkeypatch, str(path), cuts) == _read_outcome(cli._read_observations, str(path))
+    assert _read_in_ranges(monkeypatch, str(path), cuts) == _read_outcome(_read._read_observations, str(path))
 
 
 @pytest.mark.parametrize(
@@ -800,20 +849,23 @@ def test_ranges_cut_after_any_newlines_read_as_one_range(tmp_path, monkeypatch, 
         # numpy ends an unclosed quote at the end of its input: cut after
         # `"x`, both ranges would parse, to 1 and to 2, 3
         (b'income,note\n1,"x\n2,y\n3,"\n4,z\n', [1.0, 4.0]),
-        # the header's quoted field runs to the end: there are no rows
-        (b'"income\n1\n2\n', "no observations found"),
+        # the header's quoted field runs to the end, taking every row
+        (b'"income\n1\n2\n', "line 1: quoted field opened here is never closed"),
         (b"\n \r\n\nid,income\n1,1\n2,2\n3,3\n", [1.0, 2.0, 3.0]),
         (b'income,"x\ny\n"\n1,a\n2,b\n3\n', [1.0, 2.0, 3.0]),
         (b"id,income\r1,1\n2,2\r\n3,3\n", [1.0, 2.0, 3.0]),
         # the header's first line names no income column: one value per line
         (b'a,"x\ny",income\n1,2,3\n', "line 1: could not parse observation 'a,\"x'"),
+        (b'income,note\n1,a\n2,"x\n3,b\r\n4,c\n', "line 3: quoted field opened here is never closed"),
+        (b'income\n1\n-2\n3\n\xff\n', "byte 14: not UTF-8 text (invalid start byte)"),
     ],
     ids=["bom", "crlf-and-lone-cr", "blank-lines-at-cuts", "bom-char-starts-a-range",
          "invalid-in-last-range", "not-utf8-in-last-range", "csv-bom", "csv-crlf-and-lone-cr",
          "csv-blank-rows-at-cuts", "csv-short-row-in-last-range", "csv-not-utf8-in-last-range",
          "csv-quoted-fields", "csv-quoted-field-across-cuts", "csv-unclosed-quote-in-a-range",
          "csv-header-unclosed-quote", "csv-blank-lines-before-header", "csv-quoted-header-across-lines",
-         "csv-lone-cr-header", "header-first-line-names-no-income"],
+         "csv-lone-cr-header", "header-first-line-names-no-income", "csv-unclosed-quote",
+         "csv-not-utf8-after-invalid-value"],
 )
 def test_every_choice_of_cuts_reads_as_one_range(tmp_path, monkeypatch, payload, expected):
     path = tmp_path / "obs.txt"
@@ -822,11 +874,54 @@ def test_every_choice_of_cuts_reads_as_one_range(tmp_path, monkeypatch, payload,
         expected = f"{path}: {expected}"
     else:
         expected = np.array(expected).tobytes()
-    assert _read_outcome(cli._read_observations, str(path)) == expected
+    assert _read_outcome(_read._read_observations, str(path)) == expected
     ends = _newline_ends(payload)
     for count in range(1, len(ends) + 1):
         for cuts in itertools.combinations(ends, count):
             assert _read_in_ranges(monkeypatch, str(path), list(cuts)) == expected, cuts
+
+
+@pytest.mark.parametrize("first_line", [b"1\n", b"id,income\n"], ids=["lines", "csv"])
+def test_a_bad_byte_is_named_before_a_rejected_row_in_another_range(tmp_path, monkeypatch, first_line):
+    payload = _rejected_row_then_bad_byte(first_line, 20_000)
+    path = tmp_path / "obs.txt"
+    path.write_bytes(payload)
+    expected = f"{path}: byte 20000: not UTF-8 text (invalid start byte)"
+    ends = _newline_ends(payload)
+    between = [end for end in ends if 20 < end < 20_000]
+    # one range; the row and the byte on either side of a cut; each in a
+    # range of its own; and many ranges
+    for cuts in ([], [between[len(between) // 2]], [between[0], between[-1], 20_002], ends[::97]):
+        assert _read_in_ranges(monkeypatch, str(path), cuts) == expected, cuts
+
+
+def test_the_cli_reads_through_the_reader_module():
+    # cmd_estimate, and a tracer that wraps it by this name, call the reader
+    # through the CLI's namespace
+    assert cli._read_observations is _read._read_observations
+
+
+def test_reader_returns_the_values_where_libc_cannot_trim_the_heap(tmp_path, monkeypatch):
+    data = tmp_path / "obs.txt"
+    data.write_text("1\n3\n")
+    trims = []
+
+    def malloc_trim(pad):
+        trims.append(pad)
+
+    def no_library(name):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    libraries = [
+        lambda name: types.SimpleNamespace(malloc_trim=malloc_trim),
+        lambda name: types.SimpleNamespace(),
+        no_library,
+    ]
+    for library in libraries:
+        monkeypatch.setattr(_read, "ctypes", types.SimpleNamespace(**{**vars(ctypes), "CDLL": library}))
+        assert _read._read_observations(str(data)).tolist() == [1.0, 3.0]
+    # where there is one, the heap is trimmed once per read
+    assert trims == [0]
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3, 7])
@@ -836,11 +931,11 @@ def test_every_choice_of_cuts_reads_as_one_range(tmp_path, monkeypatch, payload,
 )
 def test_cuts_fall_just_after_newlines(tmp_path, monkeypatch, payload, parts):
     # a 4-byte look-ahead, so that a long line takes several reads
-    monkeypatch.setattr(cli, "_SCAN_BYTES", 4)
+    monkeypatch.setattr(_read, "_SCAN_BYTES", 4)
     path = tmp_path / "obs.txt"
     path.write_bytes(payload)
     with open(path, "rb") as file:
-        cuts = cli._cuts(file.fileno(), len(payload), parts)
+        cuts = _read._cuts(file.fileno(), len(payload), parts)
     assert cuts[0] == 0 and cuts[-1] == len(payload)
     assert cuts == sorted(set(cuts)) or payload == b""
     assert len(cuts) - 1 <= max(parts, 1)
@@ -851,11 +946,11 @@ def _check_reads_in_ranges_as_in_one(monkeypatch, capfd, tmp_path, path, start, 
     # ranges from 128 KiB: the file of about 1 MiB at `path`, whose rows
     # begin at byte `start`, goes to two processes, and its last range holds
     # only blank lines
-    monkeypatch.setattr(cli, "_RANGE_BYTES", 2**16)
+    monkeypatch.setattr(_read, "_RANGE_BYTES", 2**16)
     with open(path, "rb") as file:
         size = os.fstat(file.fileno()).st_size
-        cuts = cli._cuts(file.fileno(), size, 2 * cli._RANGES_PER_WORKER, start)
-        assert len(cuts) == 2 * cli._RANGES_PER_WORKER + 1 and not file.read()[cuts[-2] :].strip()
+        cuts = _read._cuts(file.fileno(), size, 2 * _read._RANGES_PER_WORKER, start)
+        assert len(cuts) == 2 * _read._RANGES_PER_WORKER + 1 and not file.read()[cuts[-2] :].strip()
 
     def estimate():
         code = main(["estimate", "--correct", str(path)])
@@ -876,10 +971,10 @@ def _check_reads_in_ranges_as_in_one(monkeypatch, capfd, tmp_path, path, start, 
         return call
 
     for name in ("_scan_lines", "_scan_incomes"):
-        monkeypatch.setattr(cli, name, logged("scan", getattr(cli, name)))
-    monkeypatch.setattr(cli, "_read_file_range", logged("range", cli._read_file_range))
-    monkeypatch.setattr(cli, "_read_range", logged("parse", cli._read_range))
-    monkeypatch.setattr(cli, "open", logged("open", open), raising=False)
+        monkeypatch.setattr(_read, name, logged("scan", getattr(_read, name)))
+    monkeypatch.setattr(_read, "_read_file_range", logged("range", _read._read_file_range))
+    monkeypatch.setattr(_read, "_read_range", logged("parse", _read._read_range))
+    monkeypatch.setattr(_read, "open", logged("open", open), raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert estimate() == one_range
     with pytest.raises(ChildProcessError):

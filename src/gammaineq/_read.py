@@ -35,8 +35,8 @@ _RANGE_BYTES = 2**19
 # so that a process the host slows down parses fewer of them.
 _RANGES_PER_WORKER = 4
 
-# How far _cuts reads at a time looking for a newline, and _open_quote for a
-# quote.
+# How far _cuts reads at a time looking for a newline, and _open_quote
+# before it reads on to the next newline.
 _SCAN_BYTES = 2**16
 
 
@@ -263,23 +263,38 @@ def _open_quote(source):
     """The line, counted as the scan counts it, where a quoted field opens
     that the UTF-8 CSV input `source`, read from its first byte, never
     closes; else None. The csv module and numpy both end such a field at
-    the end of the input, taking every later row into it. Input that holds
-    no `"` is read once in chunks and no further."""
+    the end of the input, taking every later row into it. The input is read
+    once, in chunks that each end just after a newline, so that a chunk
+    begins where a field does and never ends in a quote; only where a field
+    is left open are the bytes before it read again, to count its line."""
     source.seek(0)
-    if not any(b'"' in chunk for chunk in iter(lambda: source.read(_SCAN_BYTES), b"")):
+    chunk = source.read(_SCAN_BYTES) + source.readline()
+    # `start`: the offset in the input of `chunk`'s first byte; `opened`: of
+    # the quote that opens a field still open at `start`, or None
+    start = len(codecs.BOM_UTF8) if chunk.startswith(codecs.BOM_UTF8) else 0
+    chunk, opened = chunk[start:], None
+    # a quote at a field's start and the field up to its closing quote, the
+    # last of the first run of quotes of odd length, as the csv module
+    # reads it; or, with an empty group 1, a field the chunk leaves open
+    fields = re.compile(rb'"(?<![^,\r\n]")(?:[^"]*(?:""[^"]*)*"(?!")|())')
+    while chunk:
+        if opened is not None or b'"' in chunk:
+            # a field still open from an earlier chunk opens again at a
+            # quote put before this chunk's first byte
+            carried = opened is not None
+            field = next((f for f in fields.finditer(b'"' * carried + chunk) if f[1] is not None), None)
+            if field is None:
+                opened = None
+            elif field.start() > 0 or not carried:
+                opened = start + field.start() - carried
+        start += len(chunk)
+        chunk = source.read(_SCAN_BYTES) + source.readline()
+    if opened is None:
         return None
     source.seek(0)
-    data = source.read()
-    # a field as the csv module reads it, with the comma or line end after
-    # it: a closed quoted field and what follows it, or a field that opens
-    # with no quote. Repeated from the first byte, it stops only at a quote
-    # that is never closed.
-    fields = re.compile(rb'(?:(?:"(?:[^"]|"")*+"|(?!"))[^,\r\n]*+(?:[,\r\n]|\Z))*+')
-    at = fields.match(data, len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0).end()
-    if at == len(data):
-        return None
+    head = source.read(opened)
     # a line ends at LF, CRLF or a lone CR
-    return data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at) + 1
+    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
 
 
 def _income_column(header):

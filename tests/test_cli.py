@@ -942,6 +942,21 @@ def test_cuts_fall_just_after_newlines(tmp_path, monkeypatch, payload, parts):
     assert all(payload[cut - 1 : cut] == b"\n" for cut in cuts[1:-1])
 
 
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    bom=st.booleans(),
+    text=st.lists(st.sampled_from(['"', '""', ",", "\r", "\n", "\r\n", "a"]), max_size=30).map("".join),
+    scan_bytes=st.sampled_from([1, 3, 2**16]),
+)
+def test_open_quote_follows_the_csv_states_across_chunks(monkeypatch, bom, text, scan_bytes):
+    # chunks of a few bytes, so that runs of quotes, CRLFs and the
+    # byte-order mark meet the ends of reads
+    monkeypatch.setattr(_read, "_SCAN_BYTES", scan_bytes)
+    data = ("\ufeff" if bom else "") + text
+    expected = _reference_open_quote(text.replace("\r\n", "\n").replace("\r", "\n"))
+    assert _read._open_quote(io.BytesIO(data.encode())) == expected
+
+
 def _check_reads_in_ranges_as_in_one(monkeypatch, capfd, tmp_path, path, start, n):
     # ranges from 128 KiB: the file of about 1 MiB at `path`, whose rows
     # begin at byte `start`, goes to two processes, and its last range holds

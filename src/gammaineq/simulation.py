@@ -236,18 +236,16 @@ def _summarize(params, n, n_sim, values):
 def _run_cells(cells, n_sim, master_seed, workers):
     """The six summaries of every (alpha_index, n_index, params, n) cell, in
     cell order. Its (cell, block) tasks are cut into at most `workers` runs for
-    _run_tasks: here if one, else one process each, this one and children
-    forked from it (`fork_map`); a cell may span two runs."""
+    _run_tasks, one process each: this one, and children forked from it for
+    the others (`fork_map`); a cell may span two runs."""
     tasks = [
         (params, n, rows, master_seed, ai, ni, b)
         for ai, ni, params, n in cells
         for b, rows in _blocks(n, n_sim)
     ]
-    runs = _split(tasks, workers)
-    if len(runs) == 1:
-        values = _run_tasks(tasks)
-    else:
-        values = np.concatenate(fork_map(_run_tasks, runs, len(runs)), axis=1)
+    runs = fork_map(_run_tasks, _split(tasks, workers), workers)
+    # one run's array is used as it is, not copied
+    values = runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)
     return [
         summary
         for i, (_, _, params, n) in enumerate(cells)

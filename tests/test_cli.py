@@ -356,6 +356,22 @@ def test_estimate_non_utf8_on_a_pipe_names_the_byte_a_file_names(payload, offset
     assert result.stderr.startswith(f"gammaineq: /dev/stdin: byte {offset}: not UTF-8 text (".encode())
 
 
+def test_the_utf8_check_holds_neither_the_whole_input_nor_its_text(tmp_path):
+    # 2 MB of 40-byte lines, of which numpy holds 0.4 MB of values, and a
+    # bad byte at the end: the check decodes the input chunk by chunk
+    data = tmp_path / "bad.txt"
+    data.write_bytes(b"1.%s\n" % (b"0" * 37) * 50_000 + b"\xff\n")
+    size = data.stat().st_size
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r": byte 2000000: not UTF-8 text \(invalid start byte\)$"):
+            _read._read_observations(str(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 2, (peak, size)
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [
@@ -379,11 +395,17 @@ def test_estimate_non_utf8_on_a_pipe_names_the_byte_a_file_names(payload, offset
         # row; it is named before any invalid value
         ('income,note\n1,"x\n2,y\n3,z\n', "line 2: quoted field opened here is never closed"),
         ('id,income\n1,-1\n2,3,"x\n\n3,z\n', "line 3: quoted field opened here is never closed"),
+        # the two bytes of "é" straddle the first 64 KiB read; the row after
+        # it is named, not a byte
+        (
+            "id,note,income\n1," + "x" * (2**16 - 1 - len("id,note,income\n1,")) + "é,2\n2,y,abc\n",
+            "line 3: could not parse observation 'abc'",
+        ),
     ],
     ids=[
         "unparseable", "negative", "zero", "inf", "nan", "missing-income", "csv-unparseable",
         "short-row", "multiline-field", "over-long-field", "form-feed-line", "vertical-tab",
-        "unclosed-quote", "unclosed-quote-after-invalid-value",
+        "unclosed-quote", "unclosed-quote-after-invalid-value", "character-across-first-read",
     ],
 )
 def test_estimate_error_messages(tmp_path, capsys, payload, message):

@@ -1,13 +1,13 @@
-"""fork_map: results in job order, the lowest failing index's error from
-whichever process ran it, a child that ends without a result, stdio and
-atexit in children, the in-process paths, and no child left unreaped.
-Each test forks at most two children."""
+"""fork_map: results in job order, job j run by process j mod k, the lowest
+failing index's error from whichever process ran it, a process stopping at
+its first failing job, a child that ends without a result, stdio and
+atexit in children, the in-process path, and no child left unreaped. Each
+test forks at most two children."""
 
 import os
 import pathlib
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -27,81 +27,100 @@ def ran_in(log):
     return {int(job): int(pid) for job, pid in started}
 
 
-@pytest.mark.parametrize("processes", [1, 2, 3])
-def test_results_come_back_in_job_order(tmp_path, processes):
-    log = tmp_path / "log"
+def forked_pids(monkeypatch):
+    """The pids of the children os.fork starts from now on, in fork order."""
+    fork, pids = os.fork, []
 
+    def logged_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", logged_fork)
+    return pids
+
+
+def assert_job_j_ran_in_process_j_mod_k(log, forked, count, processes):
+    # k = min(processes, count): this process is process 0, the children
+    # processes 1 to k - 1 in the order they are forked
+    k = min(processes, count)
+    assert len(forked) == k - 1
+    # every job ran exactly once
+    assert len(read_lines(log)) == count
+    owners = [os.getpid(), *forked]
+    assert ran_in(log) == {job: owners[job % k] for job in range(count)}
+
+
+def started_and_square(log):
     def square(job):
         append_line(log, f"started {job} {os.getpid()}")
         return job * job
 
-    assert fork_map(square, range(20), processes) == [job * job for job in range(20)]
+    return square
+
+
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_results_come_back_in_job_order(tmp_path, monkeypatch, processes):
+    log = tmp_path / "log"
+    forked = forked_pids(monkeypatch)
+    assert fork_map(started_and_square(log), range(20), processes) == [job * job for job in range(20)]
     assert_no_child_left()
-    ran = ran_in(log)
-    # every job ran exactly once, in at most `processes` processes
-    assert sorted(ran) == list(range(20)) and len(read_lines(log)) == 20
-    assert len(set(ran.values())) <= processes
+    assert_job_j_ran_in_process_j_mod_k(log, forked, 20, processes)
 
 
-def steer_first_job(monkeypatch, log, first):
-    """Make the process named `first`, "parent" or "child", take job 0: the
-    other one waits, right after the fork, until job 0 has started."""
-    fork = os.fork
-
-    def steered_fork():
-        pid = fork()
-        if (pid == 0) == (first == "parent"):
-            try:
-                wait_for(lambda: 0 in ran_in(log))
-            except AssertionError:
-                if pid == 0:
-                    os._exit(1)
-                raise
-        return pid
-
-    monkeypatch.setattr(os, "fork", steered_fork)
+def test_no_process_is_forked_for_want_of_a_job(tmp_path, monkeypatch):
+    log = tmp_path / "log"
+    forked = forked_pids(monkeypatch)
+    assert fork_map(started_and_square(log), range(2), 3) == [0, 1]
+    assert_no_child_left()
+    assert_job_j_ran_in_process_j_mod_k(log, forked, 2, 3)
 
 
 @pytest.mark.parametrize("first", ["parent", "child"])
-def test_the_lowest_failing_index_wins_whichever_process_ran_it(tmp_path, monkeypatch, first):
-    # job 1 fails first in time, in the other process; job 0's error wins,
-    # as it does in the list comprehension
+def test_the_lowest_failing_index_wins_whichever_process_ran_it(tmp_path, first):
+    # this process owns jobs 0 and 2, the child 1 and 3; the job of the
+    # process named `first` fails first in time, the other one's after it.
+    # Job 0's error wins either way, as it does in the list comprehension,
+    # and neither process starts its second job
     log = tmp_path / "log"
+    early = 0 if first == "parent" else 1
 
     def job(index):
         append_line(log, f"started {index} {os.getpid()}")
-        if index == 0:
-            wait_for(lambda: "failed 1" in read_lines(log))
-            raise LookupError("job 0")
+        if index != early:
+            wait_for(lambda: f"failed {early}" in read_lines(log))
         append_line(log, f"failed {index}")
-        raise ValueError(f"job {index}")
+        raise (LookupError if index == 0 else ValueError)(f"job {index}")
 
-    steer_first_job(monkeypatch, log, first)
     with pytest.raises(LookupError, match="^job 0$"):
         fork_map(job, range(4), 2)
     assert_no_child_left()
     ran = ran_in(log)
-    assert (ran[0] == os.getpid()) == (first == "parent")
-    assert ran[1] != ran[0]
+    assert sorted(ran) == [0, 1]
+    assert ran[0] == os.getpid() != ran[1]
+    assert read_lines(log)[-1] == f"failed {1 - early}"
 
 
-def test_a_failure_empties_the_ticket_pipe(tmp_path):
-    # after job 0 fails, no process takes another ticket: a handful of the
-    # 16,000 jobs start, where all would without the emptying
+@pytest.mark.parametrize("failing", [0, 1])
+def test_a_process_stops_at_its_first_failing_job_while_the_others_run_on(tmp_path, failing):
+    # job `failing` fails; the other process waits on its first job until
+    # it has, then runs all of its jobs
     log = tmp_path / "log"
 
     def job(index):
         append_line(log, f"started {index} {os.getpid()}")
-        if index == 0:
-            wait_for(lambda: len(ran_in(log)) > 1)
-            raise ValueError("job 0")
-        time.sleep(2e-4)
+        if index == failing:
+            append_line(log, f"failed {index}")
+            raise ValueError(f"job {index}")
+        if index == 1 - failing:
+            wait_for(lambda: f"failed {failing}" in read_lines(log))
         return index
 
-    with pytest.raises(ValueError, match="^job 0$"):
-        fork_map(job, range(16_000), 2)
+    with pytest.raises(ValueError, match=f"^job {failing}$"):
+        fork_map(job, range(8), 2)
     assert_no_child_left()
-    assert len(ran_in(log)) < 8_000
+    assert sorted(ran_in(log)) == sorted({failing, *range(1 - failing, 8, 2)})
 
 
 def test_a_child_that_ends_without_a_result_raises_child_process_error(tmp_path):
@@ -146,11 +165,6 @@ def test_an_exception_that_stops_this_process_still_reaps_every_child():
 def test_jobs_run_here_where_the_platform_does_not_fork(monkeypatch):
     monkeypatch.setattr(sys, "platform", "darwin")
     assert fork_map(lambda job: (job, os.getpid()), range(5), 2) == [(job, os.getpid()) for job in range(5)]
-
-
-def test_more_jobs_than_the_ticket_pipe_holds_run_here():
-    # 2**16 tickets of 4 bytes exceed Linux's default 64 KiB pipe
-    assert fork_map(lambda job: os.getpid(), range(2**16), 2) == [os.getpid()] * 2**16
 
 
 def test_children_neither_flush_inherited_buffers_nor_run_atexit():

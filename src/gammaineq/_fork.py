@@ -19,7 +19,9 @@ def fork_map(fn, jobs, processes):
     index ran every lower index of its own first, without a failure. A
     child pickles its results back through its own pipe and always leaves
     by os._exit, so it neither flushes stdio buffers it inherited nor runs
-    atexit handlers. Every child is reaped before this returns or raises.
+    atexit handlers. Every child is reaped before this returns or raises:
+    where this process leaves its jobs early, on a BaseException such as
+    KeyboardInterrupt, each child runs on through its jobs first.
     A child that ends without a result, for instance one killed by a
     signal, makes this raise ChildProcessError, an OSError.
 

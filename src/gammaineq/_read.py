@@ -33,9 +33,13 @@ _RANGE_BYTES = 2**19
 
 # The file is cut into this many ranges per process; process p parses
 # ranges p, p + k, p + 2k, ... A process holds one range's bytes at a time,
-# a quarter of its share. One range per process measured no faster on a
-# 2-core machine: `bench/run.py --workload estimate_files` wall_s medians of
-# 0.844 s against 0.841 s with four, faster in 5 of 10 pairs.
+# a quarter of its share. On a 2-core machine, `estimate --correct` of an
+# 18.9 MB file of 1M lines: the forked process's peak RSS is 24.7 MiB with
+# four ranges against 35.1 MiB with one, while the run's peak, which is
+# this process's, is 52.7 against 52.9 MiB. One range per
+# process measured no faster: `bench/run.py --workload estimate_files`
+# wall_s medians of 0.844 s against 0.841 s with four, faster in 5 of 10
+# pairs, and peak_rss_mb 240.8 against 240.9 MiB.
 _RANGES_PER_WORKER = 4
 
 # How far _cuts reads at a time looking for a newline, and _chunks before

@@ -2,7 +2,7 @@
 failing index's error from whichever process ran it, a process stopping at
 its first failing job, a child that ends without a result, stdio and
 atexit in children, the in-process path, and no child left unreaped. Each
-test forks at most two children."""
+test forks at most two children at a time."""
 
 import os
 import pathlib
@@ -77,29 +77,34 @@ def test_no_process_is_forked_for_want_of_a_job(tmp_path, monkeypatch):
     assert_job_j_ran_in_process_j_mod_k(log, forked, 2, 3)
 
 
-@pytest.mark.parametrize("first", ["parent", "child"])
-def test_the_lowest_failing_index_wins_whichever_process_ran_it(tmp_path, first):
-    # this process owns jobs 0 and 2, the child 1 and 3; the job of the
-    # process named `first` fails first in time, the other one's after it.
-    # Job 0's error wins either way, as it does in the list comprehension,
-    # and neither process starts its second job
-    log = tmp_path / "log"
-    early = 0 if first == "parent" else 1
+@pytest.mark.parametrize("owner", ["parent", "child"])
+def test_the_lowest_failing_index_wins_whichever_process_ran_it(tmp_path, owner):
+    # this process owns jobs 0 and 2, the child 1 and 3. The lowest failing
+    # index is this process's job 0 or the child's job 1, and the other
+    # process fails at the next index; the jobs below it succeed. The lowest
+    # one's error wins whichever of the two fails first in time, as it does
+    # in the list comprehension, and no process starts a job after its
+    # failing one
+    lowest = 0 if owner == "parent" else 1
+    for early in (lowest, lowest + 1):
+        log = tmp_path / f"log{early}"
 
-    def job(index):
-        append_line(log, f"started {index} {os.getpid()}")
-        if index != early:
-            wait_for(lambda: f"failed {early}" in read_lines(log))
-        append_line(log, f"failed {index}")
-        raise (LookupError if index == 0 else ValueError)(f"job {index}")
+        def job(index):
+            append_line(log, f"started {index} {os.getpid()}")
+            if index < lowest:
+                return index
+            if index != early:
+                wait_for(lambda: f"failed {early}" in read_lines(log))
+            append_line(log, f"failed {index}")
+            raise (LookupError if index == lowest else ValueError)(f"job {index}")
 
-    with pytest.raises(LookupError, match="^job 0$"):
-        fork_map(job, range(4), 2)
-    assert_no_child_left()
-    ran = ran_in(log)
-    assert sorted(ran) == [0, 1]
-    assert ran[0] == os.getpid() != ran[1]
-    assert read_lines(log)[-1] == f"failed {1 - early}"
+        with pytest.raises(LookupError, match=f"^job {lowest}$"):
+            fork_map(job, range(4), 2)
+        assert_no_child_left()
+        ran = ran_in(log)
+        assert sorted(ran) == list(range(lowest + 2))
+        assert [pid == os.getpid() for pid in ran.values()] == [index % 2 == 0 for index in ran]
+        assert read_lines(log)[-1] == f"failed {2 * lowest + 1 - early}"
 
 
 @pytest.mark.parametrize("failing", [0, 1])
@@ -149,7 +154,7 @@ class _Abort(BaseException):
 
 def test_an_exception_that_stops_this_process_still_reaps_every_child():
     # not an Exception: it leaves this process's own job at once, and the
-    # child, which runs on, is stopped and reaped
+    # child runs on through its jobs and is reaped
     parent = os.getpid()
 
     def job(index):

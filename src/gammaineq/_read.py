@@ -1,5 +1,6 @@
 """Read the observations of `gammaineq estimate` from a data file."""
 
+import array
 import codecs
 import contextlib
 import csv
@@ -9,7 +10,6 @@ import itertools
 import math
 import os
 import re
-import tempfile
 import warnings
 
 import numpy as np
@@ -33,13 +33,13 @@ _RANGE_BYTES = 2**19
 
 # The file is cut into this many ranges per process; process p parses
 # ranges p, p + k, p + 2k, ... A process holds one range's bytes at a time,
-# a quarter of its share. On a 2-core machine, `estimate --correct` of an
-# 18.9 MB file of 1M lines: the forked process's peak RSS is 24.7 MiB with
-# four ranges against 35.1 MiB with one, while the run's peak, which is
-# this process's, is 52.7 against 52.9 MiB. One range per
-# process measured no faster: `bench/run.py --workload estimate_files`
-# wall_s medians of 0.844 s against 0.841 s with four, faster in 5 of 10
-# pairs, and peak_rss_mb 240.8 against 240.9 MiB.
+# a quarter of its share, and its ranges' values until they are returned.
+# On a 2-core machine, `estimate --correct` of an 18.9 MB file of 1M lines:
+# the forked process's peak RSS is 31.5 MiB with four ranges against 34.9
+# MiB with one, while the run's peak, which is this process's, is 52.7
+# against 53.0 MiB. One range per process measured no faster: `bench/run.py
+# --workload estimate_files` wall_s medians of 0.844 s against 0.841 s with
+# four, faster in 5 of 10 pairs, and peak_rss_mb 240.8 against 240.9 MiB.
 _RANGES_PER_WORKER = 4
 
 # How far _cuts reads at a time looking for a newline, and _chunks before
@@ -164,9 +164,7 @@ def _read_ranges(source, start, column):
     With k = min(available CPUs, size // _RANGE_BYTES) > 1, the bytes are
     cut into _RANGES_PER_WORKER * k ranges (`_cuts`) that k processes parse,
     this one and k - 1 forked from it, process p parsing ranges p, p + k,
-    p + 2k, ... (`fork_map`). A range's values are written to an unnamed
-    spill file at 8 * its first byte (`_read_file_range`), and only their
-    count comes back; they are read back here into one array, in range
+    p + 2k, ... (`fork_map`), and their values are joined here in range
     order. A line's value, or a CSV row's, does not depend on where its
     range begins."""
     fd = source.fileno()
@@ -177,19 +175,10 @@ def _read_ranges(source, start, column):
     cuts = _cuts(fd, size, _RANGES_PER_WORKER * workers if workers > 1 else 1, start)
     if len(cuts) <= 2:
         return None
-    with tempfile.TemporaryFile() as spill:
-        counts = fork_map(
-            lambda span: _read_file_range(fd, spill.fileno(), *span, column=column),
-            zip(cuts, cuts[1:]),
-            workers,
-        )
-        if None in counts:
-            return None
-        values = np.empty(sum(counts))
-        for start, part in zip(cuts, np.split(values, np.cumsum(counts[:-1]))):
-            spill.seek(8 * start)
-            spill.readinto(part)
-    return values
+    parts = fork_map(lambda span: _read_file_range(fd, *span, column=column), zip(cuts, cuts[1:]), workers)
+    if any(part is None for part in parts):
+        return None
+    return np.concatenate(parts)
 
 
 def _cuts(fd, size, parts, start=0):
@@ -212,12 +201,11 @@ def _cuts(fd, size, parts, start=0):
     return [cut for cut in cuts if cut < size] + [size]
 
 
-def _read_file_range(fd, spill, start, stop, column):
-    """_read_range of bytes [start, stop) of the open file `fd`, written to
-    the open file `spill` at 8 * start; returns the number of values, or
-    None where _read_range does and for CSV rows with a `"` in them: numpy
-    ends an unclosed quote at the end of its input, so both halves of a
-    quoted field that spans a cut would parse."""
+def _read_file_range(fd, start, stop, column):
+    """_read_range of bytes [start, stop) of the open file `fd`: the values,
+    or None where _read_range returns None and for CSV rows with a `"` in
+    them: numpy ends an unclosed quote at the end of its input, so both
+    halves of a quoted field that spans a cut would parse."""
     # the range's bytes, read at their offset: the file's offset, which
     # forked processes share, never moves
     chunks = []
@@ -228,14 +216,7 @@ def _read_file_range(fd, spill, start, stop, column):
     data = b"".join(chunks)
     if column is not None and b'"' in data:
         return None
-    values = _read_range(io.BytesIO(data), start == 0, column)
-    if values is None:
-        return None
-    data, at = memoryview(values).cast("B"), 8 * start
-    while data:
-        written = os.pwrite(spill, data, at)
-        data, at = data[written:], at + written
-    return values.size
+    return _read_range(io.BytesIO(data), start == 0, column)
 
 
 def _read_range(binary, first, column):
@@ -323,12 +304,16 @@ def _income_column(header):
 
 
 def _scan_lines(lines, path):
-    # `lines`, a file, splits at newlines only, not also at \v, \f, ...
-    return [
-        _parse_observation(line.strip(), path, line_num)
-        for line_num, line in enumerate(lines, start=1)
-        if line.strip()
-    ]
+    # `lines`, a file, splits at newlines only, not also at \v, \f, ...;
+    # the values are held as doubles, not as a list of floats
+    return array.array(
+        "d",
+        (
+            _parse_observation(line.strip(), path, line_num)
+            for line_num, line in enumerate(lines, start=1)
+            if line.strip()
+        ),
+    )
 
 
 def _scan_incomes(lines, path):
@@ -341,7 +326,7 @@ def _scan_incomes(lines, path):
     try:
         header = next(row for row in reader if "".join(row).strip())
         column = _income_column(header)
-        values = []
+        values = array.array("d")
         for row in reader:
             if len(row) <= len(header) and not "".join(row).strip():
                 continue

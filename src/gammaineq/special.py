@@ -114,7 +114,8 @@ def ln_gamma(x):
     """Natural log of the gamma function for x > 0.
 
     Accuracy (measured against 50-digit arithmetic): absolute error below
-    ~2e-13 for x <= 100, relative error ~1e-14 for large x.
+    2.5e-13 for x <= 100 (2.1e-13 just below 100), relative error below
+    1e-14 above.
     """
     return float(_ln_gamma(_check_positive(x, "x")))
 
@@ -230,8 +231,10 @@ def log_gamma_ratio_scaled(alpha, n):
     difference amplifies log-gamma rounding by a factor of n, so once
     n*alpha >= 64, G is n * integral of psi(t) - ln(alpha) over
     [alpha, alpha + 1/n] by a 3-node Gauss-Legendre rule, whose truncation
-    error falls off as (n*alpha)^-6. Measured relative error stays below
-    5e-13 for alpha in [1e-3, 1e8], n up to 1e9.
+    error falls off as (n*alpha)^-6. Measured error stays below 5e-13,
+    absolute or relative whichever is looser, for alpha in [1e-3, 1e8], n
+    up to 1e9: the value crosses 0 near alpha = 1.4616 as n grows, where
+    digamma does.
 
     By convexity of ln Gamma the result is always >= digamma(alpha).
     """

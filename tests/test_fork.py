@@ -1,14 +1,16 @@
-"""fork_map: results in job order, job j run by process j mod k, the lowest
-failing index's error from whichever process ran it, a process stopping at
-its first failing job, a child that ends without a result, stdio and
-atexit in children, the in-process path, and no child left unreaped. Each
-test forks at most two children at a time."""
+"""fork_map: results in job order, job j run by process j mod k, a child's
+result larger than a pipe's buffer, the lowest failing index's error from
+whichever process ran it, a process stopping at its first failing job, a
+child that ends without a result, stdio and atexit in children, the
+in-process path, and no child left unreaped. Each test forks at most two
+children at a time."""
 
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import append_line, read_lines, wait_for
@@ -75,6 +77,24 @@ def test_no_process_is_forked_for_want_of_a_job(tmp_path, monkeypatch):
     assert fork_map(started_and_square(log), range(2), 3) == [0, 1]
     assert_no_child_left()
     assert_job_j_ran_in_process_j_mod_k(log, forked, 2, 3)
+
+
+def test_a_child_result_larger_than_a_pipe_buffer_comes_back_whole(tmp_path):
+    # the child's 8 MiB result fills its pipe many times over; this process
+    # reads it only after its own job, which waits until the child has started
+    log = tmp_path / "log"
+
+    def job(index):
+        append_line(log, f"started {index} {os.getpid()}")
+        if index == 0:
+            wait_for(lambda: 1 in ran_in(log))
+            return "here"
+        return np.arange(2**20)
+
+    here, there = fork_map(job, range(2), 2)
+    assert_no_child_left()
+    assert here == "here" and np.array_equal(there, np.arange(2**20))
+    assert ran_in(log)[1] != os.getpid()
 
 
 @pytest.mark.parametrize("owner", ["parent", "child"])

@@ -4,7 +4,8 @@ that pyproject.toml's requires-python allows.
 This checks grammar only, such as `except*`, `type X = ...` or generic
 parameters on a def, which ast.parse rejects below their version. It cannot
 catch a library's behaviour that differs between versions, such as the
-possessive quantifiers that `re` accepts only from Python 3.11."""
+possessive quantifiers that `re` accepts only from Python 3.11: for those,
+`.github/workflows/tests.yml` runs the whole suite on the oldest Python."""
 
 import ast
 import pathlib

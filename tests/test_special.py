@@ -6,10 +6,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sps
 
+from conftest import oracle_dps
 from gammaineq import DomainError, digamma, ln_gamma, log_gamma_ratio_scaled, trigamma
 
 mpmath.mp.dps = 40
@@ -165,3 +166,74 @@ def test_log_gamma_ratio_convexity_bound():
             # shrinking the averaging window moves the value down toward psi
             assert value <= previous + 1e-12
             previous = value
+
+
+# The documented accuracy of each public function, against mpmath, at the
+# bound its docstring states: on the 400-point log grid of the scipy test
+# above and on 400 points hypothesis draws.
+LOG_GRID = [float(x) for x in np.logspace(-3, 8, 400)]
+# a sample size for each grid point, spread in log scale over [1, 1e9]
+GRID_NS = [int(n) for n in np.rint(10 ** np.random.default_rng(23).uniform(0, 9, 400))]
+
+
+def ln_gamma_within_bound(x):
+    # absolute error for x <= 100, relative above
+    want = mpmath.loggamma(mpmath.mpf(x))
+    error = abs(mpmath.mpf(ln_gamma(x)) - want)
+    return error <= 2.5e-13 if x <= 100.0 else error <= 1e-14 * abs(want)
+
+
+def digamma_within_bound(x):
+    # absolute or relative, whichever is looser
+    want = mpmath.digamma(mpmath.mpf(x))
+    return abs(mpmath.mpf(digamma(x)) - want) <= 1e-13 * max(1, abs(want))
+
+
+def trigamma_within_bound(x):
+    want = mpmath.polygamma(1, mpmath.mpf(x))
+    return abs(mpmath.mpf(trigamma(x)) - want) <= 1e-13 * want
+
+
+def log_gamma_ratio_within_bound(alpha, n):
+    # absolute or relative, whichever is looser: the value crosses 0 where
+    # digamma does, near alpha = 1.4616, as n grows
+    with mpmath.workdps(oracle_dps(alpha, n)):
+        a = mpmath.mpf(alpha)
+        want = n * (mpmath.loggamma(a + mpmath.mpf(1) / n) - mpmath.loggamma(a))
+        return abs(mpmath.mpf(log_gamma_ratio_scaled(alpha, n)) - want) <= 5e-13 * max(1, abs(want))
+
+
+def test_documented_accuracy_on_the_log_grid():
+    for x, n in zip(LOG_GRID, GRID_NS):
+        assert ln_gamma_within_bound(x), x
+        assert digamma_within_bound(x), x
+        assert trigamma_within_bound(x), x
+        assert log_gamma_ratio_within_bound(x, n), (x, n)
+
+
+@settings(max_examples=400)
+@given(st.floats(min_value=0.0, max_value=1e300, exclude_min=True))
+# where the absolute error is largest, just below 100
+@example(99.99999999846798)
+def test_ln_gamma_documented_accuracy(x):
+    assert ln_gamma_within_bound(x)
+
+
+@settings(max_examples=400)
+@given(st.floats(min_value=1e-3, max_value=1e8))
+def test_digamma_documented_accuracy(x):
+    assert digamma_within_bound(x)
+
+
+@settings(max_examples=400)
+@given(st.floats(min_value=1e-3, max_value=1e8))
+def test_trigamma_documented_accuracy(x):
+    assert trigamma_within_bound(x)
+
+
+@settings(max_examples=400)
+@given(st.floats(min_value=1e-3, max_value=1e8), st.integers(min_value=1, max_value=10**9))
+# next to the zero of digamma, where only the absolute bound holds
+@example(1.4616321449683622, 10**9)
+def test_log_gamma_ratio_documented_accuracy(alpha, n):
+    assert log_gamma_ratio_within_bound(alpha, n)

@@ -1,8 +1,28 @@
-"""Run a list of jobs on this process and on children forked from it."""
+"""Run a list of jobs on this process and on children forked from it, and
+tune how the C library's malloc keeps freed memory."""
 
+import contextlib
+import ctypes
 import os
 import pickle
 import sys
+
+# glibc's `mallopt` parameter that sets how much freed memory at the top of
+# the heap is kept rather than handed back to the kernel
+M_TOP_PAD = -2
+
+# the C types of the arguments of the malloc calls `malloc_call` makes
+_MALLOC_ARGTYPES = {"mallopt": [ctypes.c_int, ctypes.c_int], "malloc_trim": [ctypes.c_size_t]}
+
+
+def malloc_call(name, *args):
+    """Call the C library's `mallopt` or `malloc_trim` (by `name`) with the
+    ints `args`; nothing where the library has no such function (on
+    Windows, CDLL(None) raises TypeError)."""
+    with contextlib.suppress(OSError, AttributeError, TypeError):
+        function = getattr(ctypes.CDLL(None), name)
+        function.argtypes, function.restype = _MALLOC_ARGTYPES[name], ctypes.c_int
+        function(*args)
 
 
 def fork_map(fn, jobs, processes):

@@ -2,9 +2,7 @@
 
 import array
 import codecs
-import contextlib
 import csv
-import ctypes
 import io
 import itertools
 import math
@@ -14,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from ._fork import fork_map
+from ._fork import fork_map, malloc_call
 from .exceptions import DomainError
 
 # A file that is cut into ranges (`_read_ranges`) is parsed by k =
@@ -112,12 +110,8 @@ def _read_observations(path):
             scan = _scan_incomes if is_csv else _scan_lines
             values = np.array(scan(handle, path), dtype=float)
     # the parse's freed buffers raise glibc's mmap threshold, so glibc keeps
-    # their heap; hand it back where the C library has malloc_trim (on
-    # Windows, CDLL(None) raises TypeError)
-    with contextlib.suppress(OSError, AttributeError, TypeError):
-        trim = ctypes.CDLL(None).malloc_trim
-        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-        trim(0)
+    # their heap; hand it back
+    malloc_call("malloc_trim", 0)
     if values.size == 0:
         raise DomainError(f"{path}: no observations found")
     return values

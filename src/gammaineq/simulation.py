@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from ._fork import fork_map
+from ._fork import fork_map, malloc_call
 from .exceptions import DomainError
 from .mle import _fit_and_correct, _row_estimates
 from .model import GammaParams, population_values, sample_gamma
@@ -191,6 +191,9 @@ def _run_tasks(tasks):
     for start in range(0, n.size, _BLOCK_VARIATES):
         c = slice(start, start + _BLOCK_VARIATES)
         values[1::2, c] = _fit_and_correct(values[0, c], values[2, c], values[4, c], n[c])[1]
+    # hand back the freed heap that `cmd_simulate`'s top pad kept between
+    # blocks, once the run is done
+    malloc_call("malloc_trim", 0)
     return values
 
 

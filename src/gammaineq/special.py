@@ -181,15 +181,26 @@ def _ln_minus_digamma(x):
     return shifted - _log1p_ratio(steps, x)
 
 
+def _finite(value, name, x):
+    """value as a float; DomainError naming function `name` and its
+    argument x where the value is beyond the largest double."""
+    value = float(value)
+    if math.isinf(value):
+        raise DomainError(f"{name}(x) overflows float64 at x = {x!r}")
+    return value
+
+
 def digamma(x):
     """Digamma function psi(x) = d/dx ln Gamma(x) for x > 0.
 
     Evaluated as ln x - (ln x - psi(x)), the difference carried up with
     psi(x) = psi(x+1) - 1/x until its asymptotic series applies. The error
     is below 1e-13, absolute or relative whichever is looser, on [1e-3, 1e8].
+    DomainError below x ~ 5.6e-309, where psi(x) ~ -1/x is beyond the
+    largest double.
     """
     x = _check_positive(x, "x")
-    return float(np.log(x) - _ln_minus_digamma(x))
+    return _finite(np.log(x) - _ln_minus_digamma(x), "digamma", x)
 
 
 def _trigamma(x):
@@ -201,9 +212,14 @@ def trigamma(x):
     """Trigamma function psi'(x) for x > 0.
 
     Same shift-then-series strategy as digamma, using
-    psi'(x) = psi'(x+1) + 1/x^2. Relative error below 1e-13.
+    psi'(x) = psi'(x+1) + 1/x^2. Relative error below 1e-13. DomainError
+    below x ~ 7.46e-155, where psi'(x) ~ 1/x^2 is beyond the largest double.
     """
-    return float(_trigamma(_check_positive(x, "x")))
+    x = _check_positive(x, "x")
+    # numpy arithmetic: 1/x^2 overflows to inf there, where the square of a
+    # Python float below ~1e-162 underflows to 0.0 and 1.0/0.0 raises
+    with np.errstate(divide="ignore", over="ignore"):
+        return _finite(_trigamma(np.float64(x)), "trigamma", x)
 
 
 def _log_gamma_ratio_gap(alpha, n):

@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import append_line, numpy_build_note, pinned_gamma_sample, read_lines, wait_for
-from gammaineq import DomainError, Sample, SimConfig, _read, cli, run_grid, simulation
+from gammaineq import DomainError, Sample, SimConfig, _fork, _read, cli, run_grid, simulation
 from gammaineq.cli import CSV_HEADER, main
 
 
@@ -937,27 +937,52 @@ def test_the_cli_reads_through_the_reader_module():
     assert cli._read_observations is _read._read_observations
 
 
-def test_reader_returns_the_values_where_libc_cannot_trim_the_heap(tmp_path, monkeypatch):
-    data = tmp_path / "obs.txt"
-    data.write_text("1\n3\n")
-    trims = []
+def _libc_shapes(calls):
+    """Stand-ins for ctypes.CDLL: a C library with both malloc calls, which
+    record their name and arguments in `calls`, one with neither, and no
+    library at all."""
 
-    def malloc_trim(pad):
-        trims.append(pad)
+    def recorder(name):
+        return lambda *args: calls.append((name, *args))
 
     def no_library(name):
         raise OSError(f"{name}: cannot open shared object file")
 
-    libraries = [
-        lambda name: types.SimpleNamespace(malloc_trim=malloc_trim),
+    return [
+        lambda name: types.SimpleNamespace(mallopt=recorder("mallopt"), malloc_trim=recorder("malloc_trim")),
         lambda name: types.SimpleNamespace(),
         no_library,
     ]
-    for library in libraries:
-        monkeypatch.setattr(_read, "ctypes", types.SimpleNamespace(**{**vars(ctypes), "CDLL": library}))
+
+
+def _use_libc(monkeypatch, library):
+    monkeypatch.setattr(_fork, "ctypes", types.SimpleNamespace(**{**vars(ctypes), "CDLL": library}))
+
+
+def test_reader_returns_the_values_where_libc_cannot_trim_the_heap(tmp_path, monkeypatch):
+    data = tmp_path / "obs.txt"
+    data.write_text("1\n3\n")
+    calls = []
+    for library in _libc_shapes(calls):
+        _use_libc(monkeypatch, library)
         assert _read._read_observations(str(data)).tolist() == [1.0, 3.0]
     # where there is one, the heap is trimmed once per read
-    assert trims == [0]
+    assert calls == [("malloc_trim", 0)]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_writes_the_same_csv_where_libc_lacks_the_malloc_calls(tmp_path, capsys, monkeypatch, workers):
+    calls = []
+    payloads = []
+    for i, library in enumerate(_libc_shapes(calls)):
+        _use_libc(monkeypatch, library)
+        out_path = tmp_path / f"{i}.csv"
+        assert run_cli(capsys, "simulate", *SIM_FLAGS, "--workers", workers, "--out", str(out_path))[0] == 0
+        payloads.append(out_path.read_bytes())
+    assert payloads[1:] == payloads[:-1]
+    # where they exist, this process sets the top pad once per run and trims
+    # its heap once its own run of the grid is done (a worker trims its own)
+    assert calls == [("mallopt", _fork.M_TOP_PAD, cli._SIMULATE_TOP_PAD), ("malloc_trim", 0)]
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3, 7])

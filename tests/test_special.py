@@ -2,6 +2,7 @@
 and the documented recurrence/convexity properties."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -237,3 +238,25 @@ def test_trigamma_documented_accuracy(x):
 @example(1.4616321449683622, 10**9)
 def test_log_gamma_ratio_documented_accuracy(alpha, n):
     assert log_gamma_ratio_within_bound(alpha, n)
+
+
+# the smallest doubles at which trigamma and digamma are finite: psi'(x) ~
+# 1/x^2 and psi(x) ~ -1/x are beyond the largest double just below them
+@pytest.mark.parametrize(
+    "func, want, smallest",
+    [
+        (trigamma, lambda x: mpmath.polygamma(1, x), 7.458340731200208e-155),
+        (digamma, mpmath.digamma, 5.56268464626801e-309),
+    ],
+)
+def test_overflow_bound_matches_mpmath_on_both_sides(func, want, smallest):
+    # a value beyond the largest double by half its ulp or more rounds to inf
+    limit = mpmath.mpf(sys.float_info.max) + mpmath.mpf(2) ** (1023 - 53)
+    for x in (smallest, 2 * smallest, 1e3 * smallest):
+        assert abs(want(mpmath.mpf(x))) < limit
+        assert abs(mpmath.mpf(func(x)) - want(mpmath.mpf(x))) <= 1e-13 * abs(want(mpmath.mpf(x)))
+    # at 5e-324, trigamma's x * x underflows to 0
+    for x in (math.nextafter(smallest, 0.0), smallest / 2, 5e-324):
+        assert abs(want(mpmath.mpf(x))) >= limit
+        with pytest.raises(DomainError, match=rf"{func.__name__}\(x\) overflows float64 at x = "):
+            func(x)

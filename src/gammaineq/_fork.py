@@ -1,8 +1,10 @@
-"""Run a list of jobs on this process and on children forked from it, and
-tune how the C library's malloc keeps freed memory."""
+"""Split work into contiguous runs, run a list of jobs on this process and
+on children forked from it, one job each, and tune how the C library's
+malloc keeps freed memory."""
 
 import contextlib
 import ctypes
+import itertools
 import os
 import pickle
 import sys
@@ -25,36 +27,45 @@ def malloc_call(name, *args):
         function(*args)
 
 
-def fork_map(fn, jobs, processes):
-    """[fn(job) for job in jobs], in job order, run by this process and by
-    up to `processes` - 1 children forked from it, all started before any
-    job runs. With k processes, process p (this one is 0, the children
-    1, ..., k - 1 in the order they are forked) runs jobs p, p + k, p + 2k,
-    ... in turn, and stops at the first of them that raises. Nothing is
-    pickled on the way out: a child finds `fn` and the jobs in the memory
-    it shares with this process at the fork.
+def split(items, parts, size):
+    """At most `parts` contiguous, nonempty runs of `items`, in order, of
+    about equal total `size(item)`: an item joins the run its midpoint
+    falls in. Every size is positive."""
+    parts = min(parts, len(items))
+    sizes = [size(item) for item in items]
+    total = sum(sizes)
+    runs = {}
+    for item, end, item_size in zip(items, itertools.accumulate(sizes), sizes):
+        runs.setdefault((2 * end - item_size) * parts // (2 * total), []).append(item)
+    return list(runs.values())
 
-    Where jobs raise, the exception of the lowest failing index is raised,
-    as the list comprehension would raise it: the process that owns that
-    index ran every lower index of its own first, without a failure. A
-    child pickles its results back through its own pipe and always leaves
-    by os._exit, so it neither flushes stdio buffers it inherited nor runs
-    atexit handlers. Every child is reaped before this returns or raises:
-    where this process leaves its jobs early, on a BaseException such as
-    KeyboardInterrupt, each child runs on through its jobs first.
+
+def fork_map(fn, jobs):
+    """[fn(job) for job in jobs], in job order: job 0 run by this process
+    and each further job by a child forked from it for that job alone, all
+    forked before any job runs. Nothing is pickled on the way out: a child
+    finds `fn` and its job in the memory it shares with this process at
+    the fork.
+
+    Where jobs raise, the exception of the first failing job in job order
+    is raised, as the list comprehension would raise it, whichever process
+    fails first in time. A child pickles its result back through its own
+    pipe and always leaves by os._exit, so it neither flushes stdio buffers
+    it inherited nor runs atexit handlers. Every child is reaped before
+    this returns or raises: where this process leaves its job early, on a
+    BaseException such as KeyboardInterrupt, each child runs its job first.
     A child that ends without a result, for instance one killed by a
     signal, makes this raise ChildProcessError, an OSError.
 
     The jobs run here, in turn, where the platform's default start method
-    is not fork (anything but Linux), and with one process or one job."""
+    is not fork (anything but Linux), and where there is one job."""
     jobs = list(jobs)
-    processes = min(processes, len(jobs))
-    if processes < 2 or sys.platform != "linux":
+    if len(jobs) < 2 or sys.platform != "linux":
         return [fn(job) for job in jobs]
-    children = {}  # pid: the read end of the pipe its results come back through
+    children = {}  # pid: the read end of the pipe its result comes back through
     exit_codes = {}
     try:
-        for p in range(1, processes):
+        for job in jobs[1:]:
             results, result_end = os.pipe()
             try:
                 pid = os.fork()
@@ -63,51 +74,45 @@ def fork_map(fn, jobs, processes):
                 os.close(result_end)
                 raise
             if pid == 0:
-                indices = range(p, len(jobs), processes)
-                _child(fn, jobs, indices, result_end, [results, *children.values()])
+                _child(fn, job, result_end, [results, *children.values()])
             os.close(result_end)
             children[pid] = results
-        outcomes = _run(fn, jobs, range(0, len(jobs), processes))
+        outcomes = [_run(fn, jobs[0])]
         payloads = {}
         for pid, results in children.items():
             with open(results, "rb", closefd=False) as pipe:
                 payloads[pid] = pipe.read()
     finally:
-        # after a failure here, a child runs on through its jobs, and then
-        # meets a closed pipe as it writes its results and leaves
+        # after a failure here, a child runs its job, and then meets a
+        # closed pipe as it writes its result and leaves
         for pid, results in children.items():
             os.close(results)
             exit_codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     for pid, code in exit_codes.items():
         if code != 0:
             raise ChildProcessError(f"worker process {pid} ended without a result (exit code {code})")
-        outcomes.update(pickle.loads(payloads[pid]))
-    failed = [index for index, (ok, _) in outcomes.items() if not ok]
-    if failed:
-        raise outcomes[min(failed)][1]
-    return [outcomes[index][1] for index in range(len(jobs))]
+        outcomes.append(pickle.loads(payloads[pid]))
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
 
 
-def _run(fn, jobs, indices):
-    """{index: (True, fn(jobs[index])) or (False, exception)} of `indices`,
-    run in turn up to the first that raises."""
-    outcomes = {}
-    for index in indices:
-        try:
-            outcomes[index] = (True, fn(jobs[index]))
-        except Exception as exc:
-            outcomes[index] = (False, exc)
-            break
-    return outcomes
+def _run(fn, job):
+    """(True, fn(job)), or (False, the exception it raised)."""
+    try:
+        return True, fn(job)
+    except Exception as exc:
+        return False, exc
 
 
-def _child(fn, jobs, indices, result_end, inherited):
-    # never returns, and exits 0 only once every result is written
+def _child(fn, job, result_end, inherited):
+    # never returns, and exits 0 only once the result is written
     code = 1
     try:
         for fd in inherited:
             os.close(fd)
-        payload = memoryview(pickle.dumps(_run(fn, jobs, indices), protocol=5))
+        payload = memoryview(pickle.dumps(_run(fn, job), protocol=5))
         while payload:
             payload = payload[os.write(result_end, payload) :]
         code = 0

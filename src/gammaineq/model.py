@@ -241,6 +241,11 @@ def bias_atkinson(params, n):
     return float(_bias_atkinson(params.shape, _check_count(n, "n")))
 
 
+# A Gamma(a) draw rounds to zero, below 2**-1075, with probability about
+# 2**(-1075 a): more than one half below this shape.
+_MIN_SHAPE = 1.0 / 1075.0
+
+
 def _marsaglia_tsang_round(stream, d, c, size):
     """One vectorized Marsaglia-Tsang round of `size` candidates: returns
     the candidates d*v and which of them are accepted.
@@ -310,16 +315,39 @@ def _gamma_variates(stream, shape, count):
     return u
 
 
-def _scaled_variates(stream, params, count):
+def sample_gamma(params, count, stream):
+    """Draw `count` i.i.d. Gamma(shape, rate) observations from `stream`.
+
+    Deterministic given the stream state. Draws that underflow to zero
+    before the division by the rate are redrawn, so the returned Sample is
+    always valid; the sample is then drawn conditional on X > 0, which
+    biases it at small shapes (2.4% of the mass is cut away at shape 0.005,
+    47.5% at 1e-3). A shape below _MIN_SHAPE, where more than half the
+    draws would round to zero, raises DomainError. So does a draw that
+    overflows float64, and a rate that takes a normal draw below the normal
+    float64 range (2**-1022) or a nonzero draw to zero: rounding or
+    redrawing those draws would bias the sample.
+    """
+    _check_count(count, "count")
+    if not isinstance(stream, np.random.Generator):
+        raise DomainError(f"stream must be a numpy Generator, got {type(stream).__name__}")
+    if params.shape < _MIN_SHAPE:
+        raise DomainError(
+            f"more than half of all gamma draws round to zero at shape = {params.shape:g}, "
+            f"below {_MIN_SHAPE:.2g}"
+        )
     draws = _gamma_variates(stream, params.shape, count)
+    zero = draws == 0.0
+    while zero.any():
+        draws[zero] = _gamma_variates(stream, params.shape, int(zero.sum()))
+        zero = draws == 0.0
     if params.rate > 1.0:
         # rounding the quotient is monotone, so if the division takes any
         # normal draw below the normal range, or any nonzero one to zero,
         # it does so to the smallest; that would round or redraw it, and
         # either biases the sample
         normal = np.min(draws, where=draws >= sys.float_info.min, initial=np.inf)
-        nonzero = np.min(draws, where=draws > 0.0, initial=np.inf)
-        if normal / params.rate < sys.float_info.min or nonzero / params.rate == 0.0:
+        if normal / params.rate < sys.float_info.min or np.min(draws) / params.rate == 0.0:
             raise DomainError(
                 "a gamma draw falls below the normal float64 range "
                 f"at shape = {params.shape:g}, rate = {params.rate:g}"
@@ -331,25 +359,4 @@ def _scaled_variates(stream, params, count):
         raise DomainError(
             f"a gamma draw overflows float64 at shape = {params.shape:g}, rate = {params.rate:g}"
         )
-    return draws
-
-
-def sample_gamma(params, count, stream):
-    """Draw `count` i.i.d. Gamma(shape, rate) observations from `stream`.
-
-    Deterministic given the stream state. Draws that underflow to zero
-    before the division by the rate (possible only at tiny shapes) are
-    redrawn, so the returned Sample is always valid. A draw that overflows
-    float64, and a rate that takes a normal draw below the normal float64
-    range (2**-1022) or a nonzero draw to zero, raise DomainError:
-    rounding or redrawing those draws would bias the sample.
-    """
-    _check_count(count, "count")
-    if not isinstance(stream, np.random.Generator):
-        raise DomainError(f"stream must be a numpy Generator, got {type(stream).__name__}")
-    draws = _scaled_variates(stream, params, count)
-    zero = draws == 0.0
-    while zero.any():
-        draws[zero] = _scaled_variates(stream, params, int(zero.sum()))
-        zero = draws == 0.0
     return Sample._adopt(draws)

@@ -15,13 +15,12 @@ the runs in task order and reduces each cell in replication order with
 exact compensated summation.
 """
 
-import itertools
 import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from ._fork import fork_map, malloc_call
+from ._fork import fork_map, malloc_call, split
 from .exceptions import DomainError
 from .mle import _fit_and_correct, _row_estimates
 from .model import GammaParams, population_values, sample_gamma
@@ -165,18 +164,6 @@ def _run_block(params, n, rows, master_seed, alpha_index, n_index, block):
     return _row_estimates(x)[:3]
 
 
-def _split(tasks, parts):
-    """At most `parts` contiguous, nonempty runs of tasks, in order, of about
-    equal variates (rows * n): a task joins the run its midpoint falls in."""
-    parts = min(parts, len(tasks))
-    sizes = [rows * n for _, n, rows, *_ in tasks]
-    total = sum(sizes)
-    runs = {}
-    for task, end, size in zip(tasks, itertools.accumulate(sizes), sizes):
-        runs.setdefault((2 * end - size) * parts // (2 * total), []).append(task)
-    return list(runs.values())
-
-
 def _run_tasks(tasks):
     """Per-replication values of a run of _run_block tasks, in task order,
     as a (6, rows) array in ESTIMATOR_IDS order; the corrected rows hold NaN
@@ -238,7 +225,8 @@ def _summarize(params, n, n_sim, values):
 
 def _run_cells(cells, n_sim, master_seed, workers):
     """The six summaries of every (alpha_index, n_index, params, n) cell, in
-    cell order. Its (cell, block) tasks are cut into at most `workers` runs for
+    cell order. Its (cell, block) tasks are cut into at most `workers`
+    contiguous runs of about equal variates, rows * n (`split`), for
     _run_tasks, one process each: this one, and children forked from it for
     the others (`fork_map`); a cell may span two runs."""
     tasks = [
@@ -246,7 +234,7 @@ def _run_cells(cells, n_sim, master_seed, workers):
         for ai, ni, params, n in cells
         for b, rows in _blocks(n, n_sim)
     ]
-    runs = fork_map(_run_tasks, _split(tasks, workers), workers)
+    runs = fork_map(_run_tasks, split(tasks, workers, lambda task: task[2] * task[1]))
     # one run's array is used as it is, not copied
     values = runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)
     return [

@@ -44,6 +44,10 @@ _BERNOULLI_OVER_2K = (
     1.0 / 12.0,
 )
 
+# B_2k for k = 1..5, as 2k * (B_2k / 2k) from the table above: the
+# asymptotic series of psi'(x).
+_BERNOULLI_2K = tuple(2 * k * _BERNOULLI_OVER_2K[k - 1] for k in range(1, 6))
+
 # Arguments at or above this are handled by the asymptotic series directly;
 # smaller ones are shifted up by the recurrence first.
 _ASYMPTOTIC_CUTOFF = 12.0
@@ -120,27 +124,29 @@ def ln_gamma(x):
     return float(_ln_gamma(_check_positive(x, "x")))
 
 
+def _horner(coeffs, t):
+    """coeffs[0] + coeffs[1] t + coeffs[2] t^2 + ..., by Horner's rule.
+    Plain arithmetic, so it serves floats and arrays alike."""
+    acc = 0.0
+    for coeff in reversed(coeffs):
+        acc = coeff + t * acc
+    return acc
+
+
 def _ln_minus_digamma_series(x):
     # ln x - psi(x) = 1/(2x) + sum_k B_2k / (2k x^2k); accurate for x >= 12,
-    # where the truncation error is ~3e-18. Plain arithmetic, so it serves
-    # floats and arrays alike.
+    # where the truncation error is ~3e-18
     inv = 1.0 / x
     t = inv * inv
-    acc = 0.0
-    for coeff in reversed(_BERNOULLI_OVER_2K):
-        acc = coeff + t * acc
-    return 0.5 * inv + t * acc
+    return 0.5 * inv + t * _horner(_BERNOULLI_OVER_2K, t)
 
 
 def _trigamma_series(x):
-    # psi'(x) = 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1) for k = 1..5, with
-    # B_2k = 2k * (B_2k / 2k) taken exactly from the table; accurate for x >= 12
+    # psi'(x) = 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1) for k = 1..5;
+    # accurate for x >= 12
     inv = 1.0 / x
     t = inv * inv
-    acc = 0.0
-    for k in range(5, 0, -1):
-        acc = 2 * k * _BERNOULLI_OVER_2K[k - 1] + t * acc
-    return inv + 0.5 * t + inv * t * acc
+    return inv + 0.5 * t + inv * t * _horner(_BERNOULLI_2K, t)
 
 
 def _recurrence_steps(x):

@@ -621,8 +621,9 @@ def _run_module(*argv, **kwargs):
 
 def test_importing_the_cli_loads_no_multiprocessing(tmp_path):
     # no command starts a process pool: importing the CLI loads neither
-    # concurrent.futures nor multiprocessing
-    loaded = "sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules))"
+    # concurrent.futures nor multiprocessing, nor logging, which would cost
+    # start-up time on every command
+    loaded = "sorted({'concurrent.futures', 'logging', 'multiprocessing'} & set(sys.modules))"
     result = _run_python("-c", f"import sys, gammaineq.cli; print({loaded})")
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
     # nor does a run that forks: estimate on a file of over twice the range
@@ -790,7 +791,7 @@ def test_reader_matches_the_reference_reader(tmp_path, bom, header, body):
     assert live == reference, text
 
 
-def _in_process_fork_map(fn, jobs, processes):
+def _in_process_fork_map(fn, jobs):
     """A stand-in for fork_map that runs every job here, in order."""
     return [fn(job) for job in jobs]
 
@@ -1259,6 +1260,19 @@ def test_simulate_worker_error_reaches_the_cli_as_the_serial_one(tmp_path, capsy
         errors.append(err)
     assert errors[0] == errors[1]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_at_a_shape_too_small_to_sample_exits_1(tmp_path):
+    # it redrew every draw, all of which round to zero, without end
+    out_path = tmp_path / "x.csv"
+    result = _run_module(
+        "simulate", "--alphas", "1e-300", "--ns", "2", "--nsim", "3", "--out", str(out_path), timeout=5
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (
+        "gammaineq: more than half of all gamma draws round to zero at shape = 1e-300, below 0.00093\n"
+    )
+    assert not out_path.exists()
 
 
 def test_simulate_worker_that_ends_without_a_result_exits_1(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,9 @@
-"""fork_map: results in job order, job j run by process j mod k, a child's
-result larger than a pipe's buffer, the lowest failing index's error from
-whichever process ran it, a process stopping at its first failing job, a
-child that ends without a result, stdio and atexit in children, the
-in-process path, and no child left unreaped. Each test forks at most two
-children at a time."""
+"""fork_map: results in job order, job 0 run here and each further job in
+a child of its own, a child's result larger than a pipe's buffer, the first
+failing job's error whichever process fails first in time, a child that
+ends without a result, stdio and atexit in children, the in-process path,
+and no child left unreaped; split: contiguous runs of about equal size.
+Each test forks at most two children at a time."""
 
 import os
 import pathlib
@@ -15,7 +15,7 @@ import pytest
 
 from conftest import append_line, read_lines, wait_for
 from gammaineq import _fork
-from gammaineq._fork import fork_map
+from gammaineq._fork import fork_map, split
 
 
 def assert_no_child_left():
@@ -43,15 +43,12 @@ def forked_pids(monkeypatch):
     return pids
 
 
-def assert_job_j_ran_in_process_j_mod_k(log, forked, count, processes):
-    # k = min(processes, count): this process is process 0, the children
-    # processes 1 to k - 1 in the order they are forked
-    k = min(processes, count)
-    assert len(forked) == k - 1
+def assert_job_j_ran_in_process_j(log, forked, count):
+    # this process runs job 0, and the j-th child forked runs job j
+    assert len(forked) == count - 1
     # every job ran exactly once
     assert len(read_lines(log)) == count
-    owners = [os.getpid(), *forked]
-    assert ran_in(log) == {job: owners[job % k] for job in range(count)}
+    assert ran_in(log) == dict(enumerate([os.getpid(), *forked]))
 
 
 def started_and_square(log):
@@ -62,21 +59,13 @@ def started_and_square(log):
     return square
 
 
-@pytest.mark.parametrize("processes", [1, 2, 3])
-def test_results_come_back_in_job_order(tmp_path, monkeypatch, processes):
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_results_come_back_in_job_order(tmp_path, monkeypatch, count):
     log = tmp_path / "log"
     forked = forked_pids(monkeypatch)
-    assert fork_map(started_and_square(log), range(20), processes) == [job * job for job in range(20)]
+    assert fork_map(started_and_square(log), range(count)) == [job * job for job in range(count)]
     assert_no_child_left()
-    assert_job_j_ran_in_process_j_mod_k(log, forked, 20, processes)
-
-
-def test_no_process_is_forked_for_want_of_a_job(tmp_path, monkeypatch):
-    log = tmp_path / "log"
-    forked = forked_pids(monkeypatch)
-    assert fork_map(started_and_square(log), range(2), 3) == [0, 1]
-    assert_no_child_left()
-    assert_job_j_ran_in_process_j_mod_k(log, forked, 2, 3)
+    assert_job_j_ran_in_process_j(log, forked, count)
 
 
 def test_a_child_result_larger_than_a_pipe_buffer_comes_back_whole(tmp_path):
@@ -91,27 +80,27 @@ def test_a_child_result_larger_than_a_pipe_buffer_comes_back_whole(tmp_path):
             return "here"
         return np.arange(2**20)
 
-    here, there = fork_map(job, range(2), 2)
+    here, there = fork_map(job, range(2))
     assert_no_child_left()
     assert here == "here" and np.array_equal(there, np.arange(2**20))
     assert ran_in(log)[1] != os.getpid()
 
 
 @pytest.mark.parametrize("owner", ["parent", "child"])
-def test_the_lowest_failing_index_wins_whichever_process_ran_it(tmp_path, owner):
-    # this process owns jobs 0 and 2, the child 1 and 3. The lowest failing
-    # index is this process's job 0 or the child's job 1, and the other
-    # process fails at the next index; the jobs below it succeed. The lowest
-    # one's error wins whichever of the two fails first in time, as it does
-    # in the list comprehension, and no process starts a job after its
-    # failing one
+def test_the_lowest_failing_index_wins_whichever_process_ran_it(tmp_path, monkeypatch, owner):
+    # three jobs, each in its own process. The first failing job in job
+    # order is this process's job 0 or the first child's job 1, and the
+    # next job fails too; any other job succeeds. The first one's error
+    # wins whichever of the two fails first in time, as it does in the list
+    # comprehension
     lowest = 0 if owner == "parent" else 1
     for early in (lowest, lowest + 1):
         log = tmp_path / f"log{early}"
+        forked = forked_pids(monkeypatch)
 
         def job(index):
             append_line(log, f"started {index} {os.getpid()}")
-            if index < lowest:
+            if index not in (lowest, lowest + 1):
                 return index
             if index != early:
                 wait_for(lambda: f"failed {early}" in read_lines(log))
@@ -119,33 +108,11 @@ def test_the_lowest_failing_index_wins_whichever_process_ran_it(tmp_path, owner)
             raise (LookupError if index == lowest else ValueError)(f"job {index}")
 
         with pytest.raises(LookupError, match=f"^job {lowest}$"):
-            fork_map(job, range(4), 2)
+            fork_map(job, range(3))
         assert_no_child_left()
-        ran = ran_in(log)
-        assert sorted(ran) == list(range(lowest + 2))
-        assert [pid == os.getpid() for pid in ran.values()] == [index % 2 == 0 for index in ran]
-        assert read_lines(log)[-1] == f"failed {2 * lowest + 1 - early}"
-
-
-@pytest.mark.parametrize("failing", [0, 1])
-def test_a_process_stops_at_its_first_failing_job_while_the_others_run_on(tmp_path, failing):
-    # job `failing` fails; the other process waits on its first job until
-    # it has, then runs all of its jobs
-    log = tmp_path / "log"
-
-    def job(index):
-        append_line(log, f"started {index} {os.getpid()}")
-        if index == failing:
-            append_line(log, f"failed {index}")
-            raise ValueError(f"job {index}")
-        if index == 1 - failing:
-            wait_for(lambda: f"failed {failing}" in read_lines(log))
-        return index
-
-    with pytest.raises(ValueError, match=f"^job {failing}$"):
-        fork_map(job, range(8), 2)
-    assert_no_child_left()
-    assert sorted(ran_in(log)) == sorted({failing, *range(1 - failing, 8, 2)})
+        assert ran_in(log) == dict(enumerate([os.getpid(), *forked]))
+        failed = [line for line in read_lines(log) if line.startswith("failed ")]
+        assert failed == [f"failed {early}", f"failed {2 * lowest + 1 - early}"]
 
 
 def test_a_child_that_ends_without_a_result_raises_child_process_error(tmp_path):
@@ -156,12 +123,12 @@ def test_a_child_that_ends_without_a_result_raises_child_process_error(tmp_path)
         if os.getpid() != parent:
             append_line(log, f"started {index} {os.getpid()}")
             os._exit(3)
-        # hold this process on its first job until the child has taken one
+        # hold this process on its job until the child has started its own
         wait_for(lambda: ran_in(log))
         return index
 
     with pytest.raises(ChildProcessError) as raised:
-        fork_map(job, range(4), 2)
+        fork_map(job, range(2))
     assert_no_child_left()
     assert isinstance(raised.value, OSError)
     (child,) = set(ran_in(log).values())
@@ -173,8 +140,8 @@ class _Abort(BaseException):
 
 
 def test_an_exception_that_stops_this_process_still_reaps_every_child():
-    # not an Exception: it leaves this process's own job at once, and the
-    # child runs on through its jobs and is reaped
+    # not an Exception: it leaves this process's own job at once, and each
+    # child runs its job and is reaped
     parent = os.getpid()
 
     def job(index):
@@ -183,13 +150,13 @@ def test_an_exception_that_stops_this_process_still_reaps_every_child():
         return index
 
     with pytest.raises(_Abort):
-        fork_map(job, range(50), 2)
+        fork_map(job, range(3))
     assert_no_child_left()
 
 
 def test_jobs_run_here_where_the_platform_does_not_fork(monkeypatch):
     monkeypatch.setattr(sys, "platform", "darwin")
-    assert fork_map(lambda job: (job, os.getpid()), range(5), 2) == [(job, os.getpid()) for job in range(5)]
+    assert fork_map(lambda job: (job, os.getpid()), range(5)) == [(job, os.getpid()) for job in range(5)]
 
 
 def test_children_neither_flush_inherited_buffers_nor_run_atexit():
@@ -200,7 +167,7 @@ def test_children_neither_flush_inherited_buffers_nor_run_atexit():
         "from gammaineq._fork import fork_map\n"
         "atexit.register(print, 'atexit')\n"
         "print('before')\n"
-        "print(sum(fork_map(abs, range(40), 2)))\n"
+        "print(sum(fork_map(abs, [-1, -2, -3])))\n"
     )
     package_root = str(pathlib.Path(_fork.__file__).parents[1])
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
@@ -208,4 +175,20 @@ def test_children_neither_flush_inherited_buffers_nor_run_atexit():
         [sys.executable, "-c", script],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
-    assert (result.returncode, result.stdout, result.stderr) == (0, "before\n780\natexit\n", "")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "before\n6\natexit\n", "")
+
+
+@pytest.mark.parametrize(
+    "cuts, lengths",
+    [
+        ([0, 100, 210, 300, 400, 520, 600, 700, 800], [4, 4]),
+        # a range joins the run its middle byte falls in; a CSV's rows
+        # begin after its header
+        ([5, 405, 410, 415, 420], [1, 3]),
+    ],
+)
+def test_split_cuts_reader_spans_into_runs_of_about_equal_bytes(cuts, lengths):
+    spans = list(zip(cuts, cuts[1:]))
+    runs = split(spans, 2, lambda span: span[1] - span[0])
+    assert [len(run) for run in runs] == lengths
+    assert [span for run in runs for span in run] == spans

@@ -453,6 +453,18 @@ def test_sampler_refuses_a_rate_that_pushes_draws_below_the_normal_range():
     )
 
 
+def test_sampler_refuses_shapes_where_most_draws_round_to_zero():
+    # a Gamma(a) draw rounds to zero with probability about 2**(-1075 a):
+    # 0.54 at 9e-4, where redrawing would all but never end
+    with pytest.raises(DomainError) as err:
+        sample_gamma(GammaParams(9e-4), 10, derive_stream(1, 0, 0, 0))
+    assert str(err.value) == (
+        "more than half of all gamma draws round to zero at shape = 0.0009, below 0.00093"
+    )
+    # 0.475 at 1e-3: sampled, conditional on X > 0
+    assert sample_gamma(GammaParams(1e-3), 10, derive_stream(1, 0, 0, 0)).n == 10
+
+
 def test_sampler_validation():
     with pytest.raises(DomainError):
         sample_gamma(GammaParams(1.0), 0, derive_stream(1, 0, 0, 0))

@@ -42,7 +42,8 @@ from gammaineq import (
 )
 from gammaineq import simulation
 from gammaineq.cli import _csv_field
-from gammaineq.simulation import _run_block, _run_tasks, _split
+from gammaineq._fork import split
+from gammaineq.simulation import _run_block, _run_tasks
 
 # run_cell(1.5, 10, 200, 1.0, 42) means in ESTIMATOR_IDS order
 PINNED_MEANS_15_10_200_SEED42 = (
@@ -269,6 +270,11 @@ def test_run_grid_parallel_matches_serial(workers):
     assert run_grid(config, workers=workers) == run_grid(config, workers=1)
 
 
+def variates(task):
+    # the size the grid splits its (cell, block) tasks by: rows * n
+    return task[2] * task[1]
+
+
 @pytest.mark.parametrize("parts", [1, 2, 3, 5, 12, 13, 10**9])
 @pytest.mark.parametrize(
     "sizes",
@@ -281,7 +287,7 @@ def test_run_grid_parallel_matches_serial(workers):
 )
 def test_split_gives_contiguous_nonempty_runs_covering_every_task(sizes, parts):
     tasks = [(GammaParams(1.5), n, rows, 0, 0, 0, b) for b, (n, rows) in enumerate(sizes)]
-    runs = _split(tasks, parts)
+    runs = split(tasks, parts, variates)
     assert 1 <= len(runs) <= min(parts, len(tasks))
     assert all(runs)
     # concatenated in order, the runs give back every task once
@@ -291,7 +297,7 @@ def test_split_gives_contiguous_nonempty_runs_covering_every_task(sizes, parts):
 @pytest.mark.parametrize("parts, lengths", [(2, [18] * 2), (3, [12] * 3), (36, [1] * 36), (10**9, [1] * 36)])
 def test_split_balances_variates(parts, lengths):
     tasks = [(GammaParams(1.5), 10, 100, 0, 0, 0, b) for b in range(36)]
-    assert [len(run) for run in _split(tasks, parts)] == lengths
+    assert [len(run) for run in split(tasks, parts, variates)] == lengths
 
 
 @pytest.mark.parametrize("workers", [1, 2])

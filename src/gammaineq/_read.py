@@ -54,13 +54,13 @@ def _read_observations(path):
 
     The file is opened once, and the open file, never its path, is handed
     to numpy's C text reader (`np.loadtxt`). A file that cannot seek, such
-    as a pipe, is held in memory as bytes. The rows begin at the first byte
-    of a one-value-per-line file and just after a CSV file's header
-    (`_rows_start`). From there, a file of at least twice `_RANGE_BYTES` is
-    cut into ranges that one process per available CPU parses
-    (`_read_ranges`); smaller files, pipes and any input of which a range
-    fails are parsed here as one range, up to the end (`_read_range`).
-    Values and errors are the same at any CPU count.
+    as a pipe, is held in memory as bytes. The rows begin just after its
+    byte-order mark or, in a CSV file, its header (`_rows_start`). From
+    there, a file of at least twice `_RANGE_BYTES` is cut into ranges that
+    one process per available CPU parses (`_read_ranges`); smaller files,
+    pipes and any input of which a range fails are parsed here as one
+    range, up to the end (`_read_range`). Values and errors are the same at
+    any CPU count.
 
     Every failure takes one slow path: a header the csv module rejects, a
     byte that is not UTF-8, numpy's failure, or a value that is not finite
@@ -90,7 +90,7 @@ def _read_observations(path):
             quoted = values is None
             if quoted:
                 source.seek(start)
-                values = _read_range(source, start == 0, column)
+                values = _read_range(source, column)
         except (csv.Error, ValueError):
             # a byte that is not UTF-8 raises UnicodeDecodeError, a ValueError
             values = None
@@ -122,11 +122,12 @@ def _rows_start(source):
     """(start, column) of the binary stream `source`, read from its first
     byte: the offset where the rows begin, and the index of the `income`
     column in the header, the first non-blank line, after an optional
-    byte-order mark, read as a CSV row. Without it, (0, None): one value per
-    line. Else the rows begin just after the header record, which csv.reader
-    reads on over quoted newlines. A byte that is not UTF-8 raises
-    UnicodeDecodeError; a header the csv module rejects, csv.Error."""
-    start = len(codecs.BOM_UTF8) if source.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8 else 0
+    byte-order mark, read as a CSV row. Without it, the file holds one value
+    per line and its rows begin just after the byte-order mark, if any:
+    (3 or 0, None). Else the rows begin just after the header record, which
+    csv.reader reads on over quoted newlines. A byte that is not UTF-8
+    raises UnicodeDecodeError; a header the csv module rejects, csv.Error."""
+    start = bom = len(codecs.BOM_UTF8) if source.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8 else 0
     source.seek(0)
     # newline="": each line keeps its own ending, LF, CRLF or a lone CR, so
     # it encodes back to exactly its bytes
@@ -143,7 +144,7 @@ def _rows_start(source):
         first = next(filter(str.strip, rest), None)
         column = None if first is None else _income_column(next(csv.reader([first])))
         if column is None:
-            return 0, None
+            return bom, None
         next(csv.reader(itertools.chain([first], rest)))
     finally:
         # leaves `source` open for its owner
@@ -213,13 +214,13 @@ def _read_file_range(fd, start, stop, column):
     data = b"".join(chunks)
     if column is not None and b'"' in data:
         return None
-    return _read_range(io.BytesIO(data), start == 0, column)
+    return _read_range(io.BytesIO(data), column)
 
 
-def _read_range(binary, first, column):
-    """numpy's C reader on the binary stream `binary` from where it stands to
-    its end: from the start of the input if `first`, where a byte-order
-    mark is skipped, else from just after a newline. It holds one value per
+def _read_range(binary, column):
+    """numpy's C reader on the binary stream `binary` from where it stands,
+    where the rows begin (`_rows_start`) or just after a newline, to its
+    end, read as UTF-8 without a byte-order mark. It holds one value per
     line if `column` is None, else CSV rows, each read on its own, with the
     value in `column`. Newlines are translated as `open` does. Returns the
     values, or None if numpy fails, a byte is not UTF-8 or a line holds
@@ -229,7 +230,7 @@ def _read_range(binary, first, column):
         if column is None
         else {"delimiter": ",", "quotechar": '"', "usecols": column, "ndmin": 1}
     )
-    text = io.TextIOWrapper(binary, encoding="utf-8-sig" if first else "utf-8")
+    text = io.TextIOWrapper(binary, encoding="utf-8")
     try:
         with warnings.catch_warnings():
             # no rows, or blank lines only: the caller reports no

@@ -47,6 +47,7 @@ from .simulation import (
     SimSummary,
     run_grid,
 )
+from .special import _check_count, _check_positive
 
 CSV_HEADER = tuple(field.name for field in dataclasses.fields(SimSummary))
 
@@ -85,15 +86,8 @@ def _parse_rate(text):
         raise argparse.ArgumentTypeError(f"expected a number or 'alpha', got {text!r}")
 
 
-def _check_flag_positive(value, flag):
-    if value <= 0:
-        raise DomainError(f"{flag} must be strictly positive, got {value:g}")
-    return value
-
-
 def cmd_population(args):
-    alpha = _check_flag_positive(args.alpha, "--alpha")
-    values = population_values(GammaParams(alpha))
+    values = population_values(GammaParams(_check_positive(args.alpha, "--alpha")))
     print(f"theil_t = {_fmt(values.theil_t)}")
     print(f"theil_l = {_fmt(values.theil_l)}")
     print(f"atkinson = {_fmt(values.atkinson)}")
@@ -101,11 +95,8 @@ def cmd_population(args):
 
 
 def cmd_expectation(args):
-    alpha = _check_flag_positive(args.alpha, "--alpha")
-    if args.n < 1:
-        raise DomainError(f"--n must be a positive integer, got {args.n}")
-    params = GammaParams(alpha)
-    n = args.n
+    params = GammaParams(_check_positive(args.alpha, "--alpha"))
+    n = _check_count(args.n, "--n")
     print(f"expected_theil_t = {_fmt(expected_theil_t(params, n))}")
     print(f"bias_theil_t = {_fmt(bias_theil_t(params, n))}")
     print(f"expected_theil_l = {_fmt(expected_theil_l(params, n))}")

@@ -16,6 +16,7 @@ from .exceptions import DomainError
 from .special import (
     _check_count,
     _check_positive,
+    _finite,
     _ln_minus_digamma,
     _log1p_ratio,
     _log_gamma_ratio_gap,
@@ -116,19 +117,10 @@ def theil_t_population(params):
     return float(_theil_t(params.shape))
 
 
-def _finite_ln_minus_digamma(x, name):
-    """L(x) = ln x - psi(x) for a float x; DomainError where it exceeds the
-    largest double, below x ~ 5.6e-309."""
-    value = float(_ln_minus_digamma(x))
-    if math.isinf(value):
-        raise DomainError(f"ln x - psi(x) overflows float64 at {name} = {x!r}")
-    return value
-
-
 def theil_l_population(params):
     """Population Theil L (mean log deviation) index: ln(shape) - psi(shape);
     DomainError below shape ~ 5.6e-309, where it overflows float64."""
-    return _finite_ln_minus_digamma(params.shape, "shape")
+    return _finite(_ln_minus_digamma(params.shape), "ln x - psi(x)", "shape", params.shape)
 
 
 def atkinson_population(params):
@@ -177,11 +169,7 @@ def expected_theil_l(params, n):
     # expected_theil_t also refuses a count n beyond the largest double
     mean_theil_t = expected_theil_t(params, n)
     value = (1.0 - 1.0 / _check_count(n, "n")) / params.shape - mean_theil_t
-    if math.isinf(value):
-        raise DomainError(
-            f"the mean Theil L estimate for n = {n} overflows float64 at shape = {params.shape!r}"
-        )
-    return value
+    return _finite(value, f"the mean Theil L estimate for n = {n}", "shape", params.shape)
 
 
 def expected_atkinson(params, n):
@@ -213,7 +201,8 @@ def _bias_theil_l(shape, n):
 def bias_theil_l(params, n):
     """Closed-form bias of the Theil L estimator: psi(na) - ln(na), finite na.
     Strictly negative; equals -bias_theil_t - 1/(na)."""
-    return -_finite_ln_minus_digamma(_scaled_shape(params, n), "n * shape")
+    x = _scaled_shape(params, n)
+    return -_finite(_ln_minus_digamma(x), "ln x - psi(x)", "n * shape", x)
 
 
 def _bias_atkinson(shape, n):

@@ -187,12 +187,12 @@ def _ln_minus_digamma(x):
     return shifted - _log1p_ratio(steps, x)
 
 
-def _finite(value, name, x):
-    """value as a float; DomainError naming function `name` and its
-    argument x where the value is beyond the largest double."""
+def _finite(value, what, name, x):
+    """value as a float; where it is beyond the largest double, DomainError
+    saying that `what` overflows float64 at the argument `name` = x."""
     value = float(value)
     if math.isinf(value):
-        raise DomainError(f"{name}(x) overflows float64 at x = {x!r}")
+        raise DomainError(f"{what} overflows float64 at {name} = {x!r}")
     return value
 
 
@@ -206,7 +206,7 @@ def digamma(x):
     largest double.
     """
     x = _check_positive(x, "x")
-    return _finite(np.log(x) - _ln_minus_digamma(x), "digamma", x)
+    return _finite(np.log(x) - _ln_minus_digamma(x), "digamma(x)", "x", x)
 
 
 def _trigamma(x):
@@ -225,7 +225,7 @@ def trigamma(x):
     # numpy arithmetic: 1/x^2 overflows to inf there, where the square of a
     # Python float below ~1e-162 underflows to 0.0 and 1.0/0.0 raises
     with np.errstate(divide="ignore", over="ignore"):
-        return _finite(_trigamma(np.float64(x)), "trigamma", x)
+        return _finite(_trigamma(np.float64(x)), "trigamma(x)", "x", x)
 
 
 def _log_gamma_ratio_gap(alpha, n):

@@ -131,6 +131,21 @@ def test_expectation_rejects_bad_n(capsys):
     assert run_cli(capsys, "expectation", "--alpha", "1", "--n", "0")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("population", "--alpha", "nan"), "--alpha must be strictly positive and finite, got nan"),
+        (("population", "--alpha", "inf"), "--alpha must be strictly positive and finite, got inf"),
+        (("population", "--alpha", "-1"), "--alpha must be strictly positive and finite, got -1.0"),
+        (("expectation", "--alpha", "1", "--n", "0"), "--n must be >= 1, got 0"),
+    ],
+    ids=["alpha-nan", "alpha-inf", "alpha-negative", "n-zero"],
+)
+def test_a_bad_flag_value_exits_1_naming_the_flag(capsys, argv, message):
+    # the error names the flag, not the model parameter it becomes
+    assert run_cli(capsys, *argv) == (1, "", f"gammaineq: {message}\n")
+
+
 def test_estimate_bare_file(tmp_path, capsys):
     data = tmp_path / "obs.txt"
     data.write_text("1\n\n3\n")
@@ -622,8 +637,10 @@ def _run_module(*argv, **kwargs):
 def test_importing_the_cli_loads_no_multiprocessing(tmp_path):
     # no command starts a process pool: importing the CLI loads neither
     # concurrent.futures nor multiprocessing, nor logging, which would cost
-    # start-up time on every command
-    loaded = "sorted({'concurrent.futures', 'logging', 'multiprocessing'} & set(sys.modules))"
+    # start-up time on every command; nor the test-only packages, as numpy
+    # is the one runtime dependency
+    modules = ["concurrent.futures", "hypothesis", "logging", "mpmath", "multiprocessing", "scipy"]
+    loaded = f"sorted(set({modules}) & set(sys.modules))"
     result = _run_python("-c", f"import sys, gammaineq.cli; print({loaded})")
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
     # nor does a run that forks: estimate on a file of over twice the range
@@ -932,6 +949,15 @@ def test_a_bad_byte_is_named_before_a_rejected_row_in_another_range(tmp_path, mo
         assert _read_in_ranges(monkeypatch, str(path), cuts) == expected, cuts
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
+@pytest.mark.parametrize(
+    "header, column", [(b"", None), (b"id,income\r\n", 1)], ids=["lines", "csv"]
+)
+def test_rows_start_just_after_the_byte_order_mark_or_header(bom, header, column):
+    source = io.BytesIO(bom + header + b"1.5\n2\n")
+    assert _read._rows_start(source) == (len(bom) + len(header), column)
+
+
 def test_the_cli_reads_through_the_reader_module():
     # cmd_estimate, and a tracer that wraps it by this name, call the reader
     # through the CLI's namespace
@@ -1074,7 +1100,8 @@ def test_estimate_reads_a_large_file_in_ranges_as_in_one(tmp_path, monkeypatch, 
     payload = "\ufeff" + "".join(f" {value!r}\r\n" for value in values.tolist()) + "\n" * 600_000
     path = tmp_path / "obs.txt"
     path.write_text(payload, encoding="utf-8", newline="")
-    _check_reads_in_ranges_as_in_one(monkeypatch, capfd, tmp_path, path, 0, 15_000)
+    # the rows begin just after the byte-order mark
+    _check_reads_in_ranges_as_in_one(monkeypatch, capfd, tmp_path, path, 3, 15_000)
 
 
 @pytest.mark.filterwarnings("error")

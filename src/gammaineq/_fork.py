@@ -49,13 +49,16 @@ def fork_map(fn, jobs):
 
     Where jobs raise, the exception of the first failing job in job order
     is raised, as the list comprehension would raise it, whichever process
-    fails first in time. A child pickles its result back through its own
-    pipe and always leaves by os._exit, so it neither flushes stdio buffers
-    it inherited nor runs atexit handlers. Every child is reaped before
-    this returns or raises: where this process leaves its job early, on a
-    BaseException such as KeyboardInterrupt, each child runs its job first.
-    A child that ends without a result, for instance one killed by a
-    signal, makes this raise ChildProcessError, an OSError.
+    fails first in time. A child pickles its result straight into a
+    buffered file object on its own pipe, and always leaves by os._exit,
+    so it neither flushes stdio buffers it inherited nor runs atexit
+    handlers; it exits 0 only once that file is flushed and closed. Every
+    child is reaped before this returns or raises: where this process
+    leaves its job early, on a BaseException such as KeyboardInterrupt,
+    each child runs its job first. A child that ends without a result, for
+    instance one killed by a signal or one whose result fails to pickle
+    partway, makes this raise ChildProcessError, an OSError, before any
+    result is unpickled.
 
     The jobs run here, in turn, where the platform's default start method
     is not fork (anything but Linux), and where there is one job."""
@@ -107,14 +110,15 @@ def _run(fn, job):
 
 
 def _child(fn, job, result_end, inherited):
-    # never returns, and exits 0 only once the result is written
+    # never returns, and exits 0 only once the result is pickled into the
+    # pipe and the pipe is flushed and closed; a result that fails to
+    # pickle, or a pipe closed at the other end, exits 1
     code = 1
     try:
         for fd in inherited:
             os.close(fd)
-        payload = memoryview(pickle.dumps(_run(fn, job), protocol=5))
-        while payload:
-            payload = payload[os.write(result_end, payload) :]
+        with open(result_end, "wb") as pipe:
+            pickle.dump(_run(fn, job), pipe, protocol=5)
         code = 0
     finally:
         os._exit(code)

@@ -41,8 +41,7 @@ _RANGE_BYTES = 2**19
 # four, faster in 5 of 10 pairs, and peak_rss_mb 240.8 against 240.9 MiB.
 _RANGES_PER_WORKER = 4
 
-# How far _cuts reads at a time looking for a newline, and _chunks before
-# it reads on to the next newline.
+# How far _chunks reads at a time before it reads on to the next newline.
 _SCAN_BYTES = 2**16
 
 
@@ -168,7 +167,7 @@ def _read_ranges(source, start, column):
     # the CPUs this process may run on; a platform without the call gets one range
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, size // _RANGE_BYTES)
-    cuts = _cuts(fd, size, _RANGES_PER_WORKER * workers if workers > 1 else 1, start)
+    cuts = _cuts(source, size, _RANGES_PER_WORKER * workers if workers > 1 else 1, start)
     if len(cuts) <= 2:
         return None
     runs = split(list(zip(cuts, cuts[1:])), workers, lambda span: span[1] - span[0])
@@ -179,23 +178,19 @@ def _read_ranges(source, start, column):
     return np.concatenate(parts)
 
 
-def _cuts(fd, size, parts, start=0):
+def _cuts(source, size, parts, start=0):
     """Offsets start < c1 < ... < size cutting bytes [start, size) of the
-    open file `fd` of `size` bytes into at most `parts` ranges of about
-    equal size, each cut just after a newline, so that no line, CRLF pair
-    or UTF-8 character is split. With fewer than two parts, [start, size]."""
+    open binary file `source` of `size` bytes into at most `parts` ranges of
+    about equal size, each cut just after a newline, so that no line, CRLF
+    pair or UTF-8 character is split. With fewer than two parts, [start,
+    size]. Moves the file's offset."""
     cuts = [start]
     for i in range(1, parts):
-        at = max(start + (size - start) * i // parts, cuts[-1])
-        while at < size:
-            found = os.pread(fd, _SCAN_BYTES, at).find(b"\n")
-            if found >= 0:
-                cuts.append(at + found + 1)
-                break
-            at += _SCAN_BYTES
-        else:
-            # no newline after `at`: no later cut either
-            break
+        # one past the first newline at or after the target; with none, the
+        # end, which is dropped below
+        source.seek(max(start + (size - start) * i // parts, cuts[-1]))
+        source.readline()
+        cuts.append(source.tell())
     return [cut for cut in cuts if cut < size] + [size]
 
 

@@ -7,14 +7,14 @@ from +inf to 0, so the root is unique for any s > 0.
 
 The pass works on a 2-D array of samples, one per row, in two halves: the
 row kernel (_row_estimates) gives the three index estimates and the mean;
-then _fit_and_correct fits the shape on the Theil L estimate, which is the
-log-moment gap, and subtracts the closed-form biases at the fitted shapes.
+then _fit_and_correct fits the shape on the Theil L estimate alone, which
+is the log-moment gap, and subtracts the closed-form biases at the fitted
+shapes and the rows' sample sizes.
 estimate_all runs both halves on one row, the second only when asked to
 correct; fit_shape runs the row kernel and the fit alone. The Monte Carlo
 engine runs the row kernel on each block of replications and, in each
-worker's run of blocks, the second half in chunks of at most 2**16 rows,
-with one sample size per row. A failed fit leaves NaN; _fit_error names the
-reason for one sample.
+worker's run of blocks, the second half in chunks of at most 2**16 rows. A
+failed fit leaves NaN; _fit_error names the reason for one sample.
 """
 
 import math
@@ -97,19 +97,19 @@ def _initial_shape(s):
     return (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
 
 
-def _fit_shapes(s, n):
-    """Maximum-likelihood shapes for the 1-D array s of log-moment gaps of
-    samples of size n (an int, or an array with one size per entry), all
+def _fit_shapes(s):
+    """Maximum-likelihood shapes for the 1-D array s of log-moment gaps, all
     fitted at once by Newton iteration on u = ln(alpha) from the Minka
     starting point.
 
     Returns alpha, residual and iteration arrays; alpha and residual hold
     NaN where the fit failed, and _fit_error names the reason. An entry with
-    n < 2 or s < 1e-12 is degenerate and never iterated; any other fails
-    only if Newton leaves the domain or runs out of iterations, which no gap
-    of a finite positive sample (s < 1448) reaches.
+    s < 1e-12 is degenerate and never iterated; that includes every sample
+    of one observation, whose gap the row kernel sets to exactly 0. Any
+    other fails only if Newton leaves the domain or runs out of iterations,
+    which no gap of a finite positive sample (s < 1448) reaches.
     """
-    active = np.flatnonzero((n >= 2) & (s >= _DEGENERATE_S))
+    active = np.flatnonzero(s >= _DEGENERATE_S)
     alpha = np.full(s.shape, np.nan)
     alpha[active] = _initial_shape(s[active])
     u = np.log(alpha)
@@ -183,7 +183,7 @@ def _fit_and_correct(tt, tl, at, n):
     corrected on its own, so a row's values do not depend on the other rows
     it is passed with."""
     # the Theil L estimate is the fit's log-moment gap by definition
-    alpha = _fit_shapes(tl, n)[0]
+    alpha = _fit_shapes(tl)[0]
     ok = ~np.isnan(alpha)
     corrected = np.full((3, tl.size), np.nan)
     n = np.broadcast_to(n, tl.shape)
@@ -201,7 +201,7 @@ def fit_shape(sample):
     """
     _, tl, _, mean = _row_estimates(_sample_rows(sample))
     # the Theil L estimate is the fit's log-moment gap by definition
-    alpha, residual, iterations = _fit_shapes(tl, sample.n)
+    alpha, residual, iterations = _fit_shapes(tl)
     if np.isnan(alpha[0]):
         raise _fit_error(sample.n, tl[0])
     alpha_hat = float(alpha[0])

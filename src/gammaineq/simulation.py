@@ -59,6 +59,8 @@ _BLOCK_VARIATES = 2**16
 def _check_word(value, name):
     """value as a Python int in [0, 2**64 - 1], on the terms of _check_index."""
     value = _check_index(value, name)
+    if value < 0:
+        raise DomainError(f"{name} must be nonnegative, got {value}")
     if value > _MASK64:
         raise DomainError(f"{name} must fit in 64 unsigned bits, got {value}")
     return value

@@ -76,17 +76,14 @@ def _check_positive(x, name):
 
 
 def _check_index(value, name):
-    """value as a Python int >= 0. Accepts any operator.index-able value
-    (numpy integers included) except bool."""
+    """value as a Python int. Accepts any operator.index-able value (numpy
+    integers included) except bool."""
     if isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     try:
-        value = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if value < 0:
-        raise DomainError(f"{name} must be nonnegative, got {value}")
-    return value
 
 
 def _check_count(n, name):

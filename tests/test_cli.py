@@ -138,8 +138,9 @@ def test_expectation_rejects_bad_n(capsys):
         (("population", "--alpha", "inf"), "--alpha must be strictly positive and finite, got inf"),
         (("population", "--alpha", "-1"), "--alpha must be strictly positive and finite, got -1.0"),
         (("expectation", "--alpha", "1", "--n", "0"), "--n must be >= 1, got 0"),
+        (("expectation", "--alpha", "1", "--n", "-2"), "--n must be >= 1, got -2"),
     ],
-    ids=["alpha-nan", "alpha-inf", "alpha-negative", "n-zero"],
+    ids=["alpha-nan", "alpha-inf", "alpha-negative", "n-zero", "n-negative"],
 )
 def test_a_bad_flag_value_exits_1_naming_the_flag(capsys, argv, message):
     # the error names the flag, not the model parameter it becomes
@@ -836,7 +837,7 @@ def _read_in_ranges(monkeypatch, path, cuts):
     # first byte of their ranges, and the ranges read here, one after another
     with monkeypatch.context() as patch:
         patch.setattr(
-            _read, "_cuts", lambda fd, size, parts, start: [start, *(cut for cut in cuts if cut > start), size]
+            _read, "_cuts", lambda source, size, parts, start: [start, *(cut for cut in cuts if cut > start), size]
         )
         patch.setattr(_read, "fork_map", _in_process_fork_map)
         return _read_outcome(_read._read_observations, path)
@@ -1017,17 +1018,45 @@ def test_simulate_writes_the_same_csv_where_libc_lacks_the_malloc_calls(tmp_path
     "payload",
     [b"", b"1", b"1\n", b"1\n2\n3\n4\n", b"12345678901\n2\n", b"1\n" + b"2" * 40 + b"\n3\n", b"\n\n\n\n"],
 )
-def test_cuts_fall_just_after_newlines(tmp_path, monkeypatch, payload, parts):
-    # a 4-byte look-ahead, so that a long line takes several reads
-    monkeypatch.setattr(_read, "_SCAN_BYTES", 4)
+def test_cuts_fall_just_after_newlines(tmp_path, payload, parts):
     path = tmp_path / "obs.txt"
     path.write_bytes(payload)
     with open(path, "rb") as file:
-        cuts = _read._cuts(file.fileno(), len(payload), parts)
+        cuts = _read._cuts(file, len(payload), parts)
     assert cuts[0] == 0 and cuts[-1] == len(payload)
     assert cuts == sorted(set(cuts)) or payload == b""
     assert len(cuts) - 1 <= max(parts, 1)
     assert all(payload[cut - 1 : cut] == b"\n" for cut in cuts[1:-1])
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    # newline-free stretches of up to 10 kB, past the file's 8 KiB buffer
+    payload=st.lists(
+        st.sampled_from([b"\n", b"\r\n", b"\r", b"\n\n", b"1.5", "\u20ac".encode(), b"9" * 300, b"9" * 10_000]),
+        min_size=1,
+        max_size=30,
+    ).map(b"".join),
+    parts=st.integers(1, 9),
+    data=st.data(),
+)
+def test_cuts_fall_one_past_the_first_newline_from_each_target(tmp_path, payload, parts, data):
+    size = len(payload)
+    start = data.draw(st.integers(0, size - 1), label="start")
+    path = tmp_path / "obs.txt"
+    path.write_bytes(payload)
+    with open(path, "rb") as file:
+        cuts = _read._cuts(file, size, parts, start)
+    assert cuts[0] == start and cuts[-1] == size
+    for i in range(1, parts):
+        newline = payload.find(b"\n", max(start + (size - start) * i // parts, cuts[i - 1]))
+        if newline in (-1, size - 1):
+            # no newline follows, or only the last byte: no cut here or later
+            assert cuts[i:] == [size]
+            break
+        assert cuts[i] == newline + 1
+    else:
+        assert cuts[parts:] == [size]
 
 
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1052,7 +1081,9 @@ def _check_reads_in_ranges_as_in_one(monkeypatch, capfd, tmp_path, path, start, 
     monkeypatch.setattr(_read, "_RANGE_BYTES", 2**16)
     with open(path, "rb") as file:
         size = os.fstat(file.fileno()).st_size
-        cuts = _read._cuts(file.fileno(), size, 2 * _read._RANGES_PER_WORKER, start)
+        cuts = _read._cuts(file, size, 2 * _read._RANGES_PER_WORKER, start)
+        # _cuts moves the file's offset
+        file.seek(0)
         assert len(cuts) == 2 * _read._RANGES_PER_WORKER + 1 and not file.read()[cuts[-2] :].strip()
 
     def estimate():

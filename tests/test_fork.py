@@ -1,12 +1,15 @@
 """fork_map: results in job order, job 0 run here and each further job in
 a child of its own, a child's result larger than a pipe's buffer, the first
 failing job's error whichever process fails first in time, a child that
-ends without a result, stdio and atexit in children, the in-process path,
-and no child left unreaped; split: contiguous runs of about equal size.
-Each test forks at most two children at a time."""
+ends without a result or with one that fails to pickle, stdio and atexit
+in children, the in-process path, and no child left unreaped; split:
+contiguous runs of about equal size. Each test forks at most two children
+at a time."""
 
+import io
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -133,6 +136,27 @@ def test_a_child_that_ends_without_a_result_raises_child_process_error(tmp_path)
     assert isinstance(raised.value, OSError)
     (child,) = set(ran_in(log).values())
     assert str(raised.value) == f"worker process {child} ended without a result (exit code 3)"
+
+
+@pytest.mark.parametrize("partway", [True, False], ids=["partway", "from-the-start"])
+def test_a_result_that_fails_to_pickle_raises_child_process_error_before_any_unpickling(monkeypatch, partway):
+    # partway: the array's 800 kB are written before pickling meets the
+    # lambda, so the child's pipe carries a truncated stream
+    result = (np.zeros(100_000), lambda: 0) if partway else (lambda: 0)
+    written = io.BytesIO()
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        pickle.dump(result, written, protocol=5)
+    assert (written.tell() > 800_000) == partway
+    forked = forked_pids(monkeypatch)
+    unpickled = []
+    loads = pickle.loads
+    monkeypatch.setattr(pickle, "loads", lambda data: unpickled.append(data) or loads(data))
+
+    with pytest.raises(ChildProcessError) as raised:
+        fork_map(lambda index: result if index else index, range(2))
+    assert_no_child_left()
+    assert str(raised.value) == f"worker process {forked[0]} ended without a result (exit code 1)"
+    assert unpickled == []
 
 
 class _Abort(BaseException):

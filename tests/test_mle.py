@@ -128,7 +128,7 @@ def test_fit_converges_fully_against_brentq():
         fits.append((s, fit_shape(sample).alpha_hat))
     # plus gaps across the whole reachable range (see the test below)
     gaps = np.logspace(-12.0, math.log10(2000.0), 24)
-    alpha = _fit_shapes(gaps, 10)[0]
+    alpha = _fit_shapes(gaps)[0]
     assert not np.isnan(alpha).any()
     fits.extend(zip(gaps.tolist(), alpha.tolist()))
     for s, got in fits:
@@ -140,7 +140,7 @@ def test_newton_fits_every_reachable_gap():
     # A sample's gap is at most ln(max/min): a sample that passes the row
     # kernel's overflow check has max < 2.6e305 and min >= 5e-324, so s < 1448.
     gaps = np.logspace(-12.0, math.log10(2000.0), 100_000)
-    alpha, residual, iterations = _fit_shapes(gaps, 10)
+    alpha, residual, iterations = _fit_shapes(gaps)
     assert np.isfinite(alpha).all() and (alpha > 0.0).all()
     assert residual.max() <= 1e-10
     assert iterations.max() <= _MAX_NEWTON
@@ -153,7 +153,7 @@ def test_unconverged_fit_holds_nan_and_no_convergence_error():
     # far beyond any reachable gap one ulp of s exceeds the 1e-10 residual
     # tolerance, so Newton runs out of steps; the Monte Carlo engine masks
     # such rows by their NaN alpha
-    alpha, residual, iterations = _fit_shapes(np.array([0.5, 1e8]), 10)
+    alpha, residual, iterations = _fit_shapes(np.array([0.5, 1e8]))
     assert np.isfinite(alpha[0]) and residual[0] <= 1e-10
     assert np.isnan(alpha[1]) and np.isnan(residual[1])
     assert iterations[1] == _MAX_NEWTON
@@ -235,7 +235,7 @@ def test_fit_and_correct_is_the_same_in_any_batch(seed, rows, cuts):
     tt, tl, at = (np.concatenate(column) for column in zip(*estimates))
     n = np.array([n for n, _ in rows])
     alpha, corrected = _fit_and_correct(tt, tl, at, n)
-    fit_alpha, residual, iterations = _fit_shapes(tl, n)
+    fit_alpha, residual, iterations = _fit_shapes(tl)
     assert same_bits(alpha, fit_alpha)
 
     parts = []
@@ -249,7 +249,7 @@ def test_fit_and_correct_is_the_same_in_any_batch(seed, rows, cuts):
         parts.append((part, part_n, _fit_and_correct(tt[part], tl[part], at[part], part_n)))
     assert same_bits(alpha, np.concatenate([part_alpha for _, _, (part_alpha, _) in parts]))
     assert same_bits(corrected, np.concatenate([values for _, _, (_, values) in parts], axis=1))
-    fits = [_fit_shapes(tl[part], part_n) for part, part_n, _ in parts]
+    fits = [_fit_shapes(tl[part]) for part, _, _ in parts]
     assert same_bits(residual, np.concatenate([fit[1] for fit in fits]))
     assert np.array_equal(iterations, np.concatenate([fit[2] for fit in fits]))
     # the failed rows are exactly the degenerate ones: no Newton fit fails

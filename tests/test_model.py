@@ -360,6 +360,15 @@ def test_bias_n_validation():
         expected_atkinson(GammaParams(1.0), 2.0)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_a_count_below_one_names_the_bound(n):
+    # a negative count is refused with the bound a zero one is, not as if 0
+    # were allowed
+    with pytest.raises(DomainError) as err:
+        expected_theil_t(GammaParams(1.0), n)
+    assert str(err.value) == f"n must be >= 1, got {n}"
+
+
 @pytest.mark.parametrize("closed_form", [expected_theil_t, expected_theil_l, bias_theil_t, bias_theil_l])
 def test_theil_closed_forms_reject_overflowing_scaled_shape(closed_form):
     # n * shape = 1e309 is beyond float64; the n * shape terms would drop out

@@ -428,6 +428,21 @@ def test_run_grid_validation():
         run_grid(config, workers=True)
 
 
+def test_a_negative_count_names_the_bound_and_a_negative_index_its_sign():
+    with pytest.raises(DomainError) as err:
+        SimConfig(n_sim=-1)
+    assert str(err.value) == "n_sim must be >= 1, got -1"
+    with pytest.raises(DomainError) as err:
+        run_grid(SimConfig(alphas=(1.5,), ns=(5,), n_sim=2), workers=-1)
+    assert str(err.value) == "workers must be >= 1, got -1"
+    with pytest.raises(DomainError) as err:
+        SimConfig(master_seed=-1)
+    assert str(err.value) == "master_seed must be nonnegative, got -1"
+    with pytest.raises(DomainError) as err:
+        derive_stream(0, -3, 0, 0)
+    assert str(err.value) == "alpha_index must be nonnegative, got -3"
+
+
 def test_cell_means_match_closed_form_expectations():
     # CLT-scale run: sample means of the estimators must sit on the exact
     # finite-sample expectations, far from the population values

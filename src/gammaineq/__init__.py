@@ -12,7 +12,6 @@ from .exceptions import (
 from .special import digamma, ln_gamma, log_gamma_ratio_scaled, trigamma
 from .model import (
     GammaParams,
-    IndexKind,
     PopulationValues,
     Sample,
     atkinson_population,
@@ -57,7 +56,6 @@ __all__ = [
     "log_gamma_ratio_scaled",
     "trigamma",
     "GammaParams",
-    "IndexKind",
     "PopulationValues",
     "Sample",
     "atkinson_population",

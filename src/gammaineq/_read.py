@@ -336,9 +336,18 @@ def _parse_observation(raw, path, line_num):
     try:
         value = float(raw)
     except ValueError:
-        raise DomainError(f"{path}: line {line_num}: could not parse observation {raw!r}")
+        raise DomainError(f"{path}: line {line_num}: could not parse observation {_quoted(raw, repr)}")
     if not math.isfinite(value) or value <= 0.0:
         raise DomainError(
-            f"{path}: line {line_num}: observation must be strictly positive and finite, got {raw}"
+            f"{path}: line {line_num}: observation must be strictly positive and finite, got {_quoted(raw, str)}"
         )
     return value
+
+
+def _quoted(raw, form):
+    """form(raw) for a rejected field of at most 40 characters; for a longer
+    one, form of its first 40, then `…` and its length in characters, so a
+    message never echoes a huge field whole."""
+    if len(raw) <= 40:
+        return form(raw)
+    return f"{form(raw[:40])}… ({len(raw)} characters)"

@@ -5,7 +5,6 @@ Every closed form depends on the shape parameter only; the rate never enters,
 which is the scale invariance all tests lean on.
 """
 
-import enum
 import math
 import sys
 from dataclasses import dataclass
@@ -35,12 +34,6 @@ class GammaParams:
         object.__setattr__(self, "rate", _check_positive(self.rate, "rate"))
 
 
-class IndexKind(enum.Enum):
-    THEIL_T = "theil_t"
-    THEIL_L = "theil_l"
-    ATKINSON = "atkinson"
-
-
 @dataclass(frozen=True)
 class PopulationValues:
     """The three population inequality indices at a fixed shape."""
@@ -48,11 +41,6 @@ class PopulationValues:
     theil_t: float
     theil_l: float
     atkinson: float
-
-    def value(self, kind):
-        if not isinstance(kind, IndexKind):
-            raise DomainError(f"kind must be an IndexKind, got {kind!r}")
-        return getattr(self, kind.value)
 
 
 @dataclass(frozen=True)

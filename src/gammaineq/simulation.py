@@ -66,6 +66,16 @@ def _check_word(value, name):
     return value
 
 
+def _distinct(values, name):
+    """values as a tuple, refused where it is empty or repeats a value."""
+    values = tuple(values)
+    if not values:
+        raise DomainError(f"{name} must be nonempty")
+    if len(set(values)) != len(values):
+        raise DomainError(f"{name} must be unique")
+    return values
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Grid specification for the study. rate may be a positive number or
@@ -79,11 +89,7 @@ class SimConfig:
     master_seed: int = DEFAULT_MASTER_SEED
 
     def __post_init__(self):
-        alphas = tuple(_check_positive(a, "alpha") for a in self.alphas)
-        if not alphas:
-            raise DomainError("alphas must be nonempty")
-        if len(set(alphas)) != len(alphas):
-            raise DomainError("alphas must be unique")
+        alphas = _distinct((_check_positive(a, "alpha") for a in self.alphas), "alphas")
         for a in alphas:
             smallest = min(astuple(population_values(GammaParams(a))))
             if smallest < _MIN_TRUE_VALUE:
@@ -91,11 +97,7 @@ class SimConfig:
                     f"alpha={a:g} makes the smallest true index {smallest:.3g} < {_MIN_TRUE_VALUE:g}; "
                     "relative bias would be meaningless"
                 )
-        ns = tuple(_check_count(n, "n") for n in self.ns)
-        if not ns:
-            raise DomainError("ns must be nonempty")
-        if len(set(ns)) != len(ns):
-            raise DomainError("ns must be unique")
+        ns = _distinct((_check_count(n, "n") for n in self.ns), "ns")
         n_sim = _check_count(self.n_sim, "n_sim")
         if self.rate != RATE_ALPHA:
             GammaParams(1.0, self.rate)
@@ -180,9 +182,6 @@ def _run_tasks(tasks):
     for start in range(0, n.size, _BLOCK_VARIATES):
         c = slice(start, start + _BLOCK_VARIATES)
         values[1::2, c] = _fit_and_correct(values[0, c], values[2, c], values[4, c], n[c])[1]
-    # hand back the freed heap that `cmd_simulate`'s top pad kept between
-    # blocks, once the run is done
-    malloc_call("malloc_trim", 0)
     return values
 
 
@@ -237,6 +236,9 @@ def _run_cells(cells, n_sim, master_seed, workers):
         for b, rows in _blocks(n, n_sim)
     ]
     runs = fork_map(_run_tasks, split(tasks, workers, lambda task: task[2] * task[1]))
+    # hand back the freed heap that `cmd_simulate`'s top pad kept between
+    # blocks, and the children's result bytes, before the runs are joined
+    malloc_call("malloc_trim", 0)
     # one run's array is used as it is, not copied
     values = runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)
     return [

@@ -432,11 +432,22 @@ def test_the_scan_holds_its_values_as_doubles_until_it_raises(header, scan):
             "id,note,income\n1," + "x" * (2**16 - 1 - len("id,note,income\n1,")) + "é,2\n2,y,abc\n",
             "line 3: could not parse observation 'abc'",
         ),
+        # a 100 kB rejected field is quoted up to 40 characters
+        ("1\n2\n" + "1" * 99_999 + "x\n", "line 3: could not parse observation '" + "1" * 40 + "'… (100000 characters)"),
+        (
+            "1\n2\n" + "9" * 100_000 + "\n",
+            "line 3: observation must be strictly positive and finite, got " + "9" * 40 + "… (100000 characters)",
+        ),
+        (
+            "income\n1\n" + "0" * 100_000 + "\n",
+            "line 3: observation must be strictly positive and finite, got " + "0" * 40 + "… (100000 characters)",
+        ),
     ],
     ids=[
         "unparseable", "negative", "zero", "inf", "nan", "missing-income", "csv-unparseable",
         "short-row", "multiline-field", "over-long-field", "form-feed-line", "vertical-tab",
         "unclosed-quote", "unclosed-quote-after-invalid-value", "character-across-first-read",
+        "huge-unparseable", "huge-non-positive", "csv-huge-non-positive",
     ],
 )
 def test_estimate_error_messages(tmp_path, capsys, payload, message):
@@ -1009,7 +1020,7 @@ def test_simulate_writes_the_same_csv_where_libc_lacks_the_malloc_calls(tmp_path
         payloads.append(out_path.read_bytes())
     assert payloads[1:] == payloads[:-1]
     # where they exist, this process sets the top pad once per run and trims
-    # its heap once its own run of the grid is done (a worker trims its own)
+    # its heap once the workers' runs are back, before it joins them
     assert calls == [("mallopt", _fork.M_TOP_PAD, cli._SIMULATE_TOP_PAD), ("malloc_trim", 0)]
 
 

@@ -12,7 +12,6 @@ from conftest import IDENTITY_ALPHAS, IDENTITY_NS, oracle_dps
 from gammaineq import (
     DomainError,
     GammaParams,
-    IndexKind,
     Sample,
     atkinson_population,
     bias_atkinson,
@@ -89,18 +88,9 @@ def test_population_positive_and_decreasing():
         assert triple.theil_t > 0.0
         assert triple.theil_l > 0.0
         assert 0.0 < triple.atkinson < 1.0
-    for kind in IndexKind:
-        series = [v.value(kind) for v in values]
+    for kind in ("theil_t", "theil_l", "atkinson"):
+        series = [getattr(v, kind) for v in values]
         assert all(b < a for a, b in zip(series, series[1:]))
-
-
-def test_population_values_accessor():
-    triple = population_values(GammaParams(1.5))
-    assert triple.value(IndexKind.THEIL_T) == triple.theil_t
-    assert triple.value(IndexKind.THEIL_L) == triple.theil_l
-    assert triple.value(IndexKind.ATKINSON) == triple.atkinson
-    with pytest.raises(DomainError):
-        triple.value("theil_t")
 
 
 def test_scale_invariance_is_exact():

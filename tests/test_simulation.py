@@ -334,6 +334,16 @@ def test_every_run_is_fitted_once_in_the_process_that_takes_it(tmp_path, monkeyp
         assert runs == [(str(os.getpid()), "120")]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_forked_grid_worker_calls_the_c_allocator(tmp_path, monkeypatch, workers):
+    # a forked worker only computes; this process trims its heap once per
+    # fan-out, whichever the worker count
+    log = tmp_path / "log"
+    monkeypatch.setattr(simulation, "malloc_call", lambda *args: append_line(log, str(os.getpid())))
+    run_grid(SimConfig(alphas=(0.5, 2.0), ns=(10,), n_sim=50), workers=workers)
+    assert read_lines(log) == [str(os.getpid())]
+
+
 def _libc_has(name):
     try:
         return hasattr(ctypes.CDLL(None), name)
@@ -390,9 +400,9 @@ def test_config_defaults():
 
 
 def test_config_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^alphas must be nonempty$"):
         SimConfig(alphas=())
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^alphas must be unique$"):
         SimConfig(alphas=(1.0, 1.0))
     with pytest.raises(DomainError):
         SimConfig(alphas=(1.0, 1e6))  # smallest true index below 1e-6
@@ -400,9 +410,9 @@ def test_config_validation():
         SimConfig(alphas=(True,))
     with pytest.raises(DomainError, match="alpha"):
         SimConfig(alphas=("x",))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^ns must be nonempty$"):
         SimConfig(ns=())
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^ns must be unique$"):
         SimConfig(ns=(10, 10))
     with pytest.raises(DomainError):
         SimConfig(ns=(10, 0))

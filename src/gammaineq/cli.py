@@ -167,8 +167,8 @@ def cmd_simulate(args):
     if os.path.isdir(args.out):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(args.out))).close()
-    # each process of the grid hands the kept heap back once its run is done
-    # (`simulation._run_tasks`)
+    # the grid does not trim the kept heap: each of its processes hands it
+    # back to the system as it exits
     malloc_call("mallopt", M_TOP_PAD, _SIMULATE_TOP_PAD)
     started = time.perf_counter()
     summaries = run_grid(config, workers=args.workers)
@@ -238,8 +238,9 @@ def build_parser():
         "--workers",
         type=int,
         default=1,
-        help="processes: the grid's blocks are split into at most this many contiguous "
-        "runs, one per process; the output is identical at any count",
+        help="processes: the grid's cells are split into at most this many contiguous "
+        "runs of whole cells, one per process, so a grid of fewer cells uses fewer; "
+        "the output is identical at any count",
     )
     p_sim.set_defaults(func=cmd_simulate)
     return parser

@@ -10,8 +10,8 @@ import numpy as np
 from .exceptions import CorrectionUnavailableError, DegenerateSampleError
 from .mle import _fit_and_correct, _fit_error, _row_estimates, _sample_rows
 
-# Fitted shapes beyond this get a diagnostic note: the sample is so close to
-# degenerate that the corrections are numerically zero.
+# Fitted shapes beyond this get a diagnostic note: the sample is close to
+# degenerate. Each correction is still about 1/n of its estimate.
 _LARGE_SHAPE_NOTE_CUTOFF = 1e6
 
 
@@ -85,9 +85,7 @@ def estimate_all(sample, apply_correction=False):
 
     notes = ()
     if alpha_hat > _LARGE_SHAPE_NOTE_CUTOFF:
-        notes = (
-            "fitted shape exceeds 1e6: sample is near-degenerate and the corrections are ~0",
-        )
+        notes = ("fitted shape exceeds 1e6: the sample is near-degenerate",)
     return replace(
         report,
         alpha_hat=alpha_hat,

@@ -8,11 +8,12 @@ cell (alpha_index, n_index) owns one counter-based stream, derived by
 hashing (master_seed, alpha_index, n_index, b), and draws all its rows*n
 observations with one sample_gamma call; reshaped row-major to (rows, n),
 row r is replication b*R + r. Results are therefore a pure function of the
-config no matter how the (cell, block) tasks are scheduled. Each process,
-the calling one included, samples, estimates, fits and bias-corrects one
-contiguous run of tasks, each row on its own; the calling process joins
-the runs in task order and reduces each cell in replication order with
-exact compensated summation.
+config no matter how the cells are scheduled. Each process, the calling
+one included, takes one contiguous run of whole cells: it samples,
+estimates, fits and bias-corrects their rows, each row on its own, and
+reduces each cell in replication order with exact compensated summation.
+Only the summaries come back, and the calling process lists the runs in
+cell order.
 """
 
 import math
@@ -20,7 +21,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from ._fork import fork_map, malloc_call, split
+from ._fork import fork_map, split
 from .exceptions import DomainError
 from .mle import _fit_and_correct, _row_estimates
 from .model import GammaParams, population_values, sample_gamma
@@ -208,44 +209,23 @@ def _aggregate(alpha, n, estimator, true_value, values, n_sim):
     )
 
 
-def _summarize(params, n, n_sim, values):
-    """The six summaries of one cell from its (6, n_sim) _run_tasks values."""
-    trues = population_values(params)
-    return [
-        _aggregate(
-            params.shape,
-            n,
-            key,
-            getattr(trues, key.removesuffix("_corr")),
-            column,
-            n_sim,
-        )
-        for column, key in zip(values, ESTIMATOR_IDS)
-    ]
-
-
-def _run_cells(cells, n_sim, master_seed, workers):
-    """The six summaries of every (alpha_index, n_index, params, n) cell, in
-    cell order. Its (cell, block) tasks are cut into at most `workers`
-    contiguous runs of about equal variates, rows * n (`split`), for
-    _run_tasks, one process each: this one, and children forked from it for
-    the others (`fork_map`); a cell may span two runs."""
+def _summarize(cells, n_sim, master_seed):
+    """The six summaries of every (alpha_index, n_index, params, n) cell of
+    one run, in cell order: the run's (cell, block) tasks go to _run_tasks
+    in one call, and each cell is aggregated here, in replication order."""
     tasks = [
         (params, n, rows, master_seed, ai, ni, b)
         for ai, ni, params, n in cells
         for b, rows in _blocks(n, n_sim)
     ]
-    runs = fork_map(_run_tasks, split(tasks, workers, lambda task: task[2] * task[1]))
-    # hand back the freed heap that `cmd_simulate`'s top pad kept between
-    # blocks, and the children's result bytes, before the runs are joined
-    malloc_call("malloc_trim", 0)
-    # one run's array is used as it is, not copied
-    values = runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)
-    return [
-        summary
-        for i, (_, _, params, n) in enumerate(cells)
-        for summary in _summarize(params, n, n_sim, values[:, i * n_sim : (i + 1) * n_sim])
-    ]
+    values = _run_tasks(tasks)
+    summaries = []
+    for i, (_, _, params, n) in enumerate(cells):
+        trues = population_values(params)
+        for column, key in zip(values[:, i * n_sim : (i + 1) * n_sim], ESTIMATOR_IDS):
+            true_value = getattr(trues, key.removesuffix("_corr"))
+            summaries.append(_aggregate(params.shape, n, key, true_value, column, n_sim))
+    return summaries
 
 
 def run_cell(alpha, n, n_sim, rate, master_seed, alpha_index=0, n_index=0):
@@ -261,14 +241,17 @@ def run_cell(alpha, n, n_sim, rate, master_seed, alpha_index=0, n_index=0):
     master_seed = _check_word(master_seed, "master_seed")
     alpha_index = _check_word(alpha_index, "alpha_index")
     n_index = _check_word(n_index, "n_index")
-    return _run_cells([(alpha_index, n_index, params, n)], n_sim, master_seed, 1)
+    return _summarize([(alpha_index, n_index, params, n)], n_sim, master_seed)
 
 
 def run_grid(config, workers=1):
     """Run the full grid and return summaries ordered by (alpha ascending,
-    n ascending, fixed estimator order). Output is identical for any
-    worker count: no row's values depend on the run of (cell, block) tasks
-    it falls in, and each cell is aggregated in replication order."""
+    n ascending, fixed estimator order). The cells are cut, in order, into
+    at most `workers` contiguous runs of about equal variates (`split`; every
+    cell has n_sim replications, so n stands for its variates), and each run
+    is summarized whole (`_summarize`) by one process: this one, and children
+    forked from it for the others (`fork_map`). Output is identical for any
+    worker count: a cell's values do not depend on the run it falls in."""
     if not isinstance(config, SimConfig):
         raise DomainError(f"expected a SimConfig, got {type(config).__name__}")
     workers = _check_count(workers, "workers")
@@ -277,5 +260,9 @@ def run_grid(config, workers=1):
         for ai, alpha in enumerate(sorted(config.alphas))
         for ni, n in enumerate(sorted(config.ns))
     ]
-    return _run_cells(cells, config.n_sim, config.master_seed, workers)
+    runs = fork_map(
+        lambda run: _summarize(run, config.n_sim, config.master_seed),
+        split(cells, workers, lambda cell: cell[3]),
+    )
+    return [summary for run in runs for summary in run]
 

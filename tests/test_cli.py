@@ -3,6 +3,7 @@ byte-stable CSV export."""
 
 import csv
 import ctypes
+import errno
 import gc
 import hashlib
 import io
@@ -256,6 +257,28 @@ def test_estimate_correction_unavailable_exits_3(tmp_path, capsys):
     assert "correction unavailable" in err
     data.write_text("4.0\n")
     assert run_cli(capsys, "estimate", str(data), "--correct")[0] == 3
+
+
+def test_estimate_correct_notes_a_near_degenerate_sample_on_stderr(tmp_path, capsys):
+    # the fitted shape is about 4.0e6, and the corrections still raise each
+    # index by half: the note says only that the sample is near-degenerate
+    data = tmp_path / "obs.txt"
+    data.write_text("1\n1.001\n")
+    code, out, err = run_cli(capsys, "estimate", str(data), "--correct")
+    assert (code, err) == (0, "note: fitted shape exceeds 1e6: the sample is near-degenerate\n")
+    report = parse_report(out)
+    assert len(out.splitlines()) == 8
+    assert list(report) == [
+        "n",
+        "theil_t_hat",
+        "theil_l_hat",
+        "atkinson_hat",
+        "alpha_hat",
+        "theil_t_corrected",
+        "theil_l_corrected",
+        "atkinson_corrected",
+    ]
+    assert report["alpha_hat"] > 1e6
 
 
 @pytest.mark.parametrize("flags", [(), ("--correct",)])
@@ -1019,9 +1042,9 @@ def test_simulate_writes_the_same_csv_where_libc_lacks_the_malloc_calls(tmp_path
         assert run_cli(capsys, "simulate", *SIM_FLAGS, "--workers", workers, "--out", str(out_path))[0] == 0
         payloads.append(out_path.read_bytes())
     assert payloads[1:] == payloads[:-1]
-    # where they exist, this process sets the top pad once per run and trims
-    # its heap once the workers' runs are back, before it joins them
-    assert calls == [("mallopt", _fork.M_TOP_PAD, cli._SIMULATE_TOP_PAD), ("malloc_trim", 0)]
+    # where they exist, this process sets the top pad once per run, and no
+    # process of the grid trims its heap
+    assert calls == [("mallopt", _fork.M_TOP_PAD, cli._SIMULATE_TOP_PAD)]
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3, 7])
@@ -1266,6 +1289,36 @@ def test_write_results_csv_never_sets_the_process_umask(tmp_path, monkeypatch):
     assert [path.name for path in tmp_path.iterdir()] == ["results.csv"]
 
 
+def test_write_results_csv_removes_its_temporary_file_when_the_write_fails(tmp_path, monkeypatch):
+    summaries = run_grid(SimConfig(alphas=(0.5,), ns=(2,), n_sim=3))
+    out_path = tmp_path / "results.csv"
+    out_path.write_bytes(b"earlier results\n")
+
+    def fail(source, target):
+        raise OSError(errno.EIO, "replace failed")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        cli.write_results_csv(str(out_path), summaries)
+    # no .results-*.csv.tmp is left, and the target keeps its bytes
+    assert [path.name for path in tmp_path.iterdir()] == ["results.csv"]
+    assert out_path.read_bytes() == b"earlier results\n"
+
+
+def test_simulate_rate_alpha_writes_the_library_grid(tmp_path, capsys):
+    out_path = tmp_path / "results.csv"
+    argv = ("--rate", "alpha", "--alphas", "0.5,2.0", "--ns", "5", "--nsim", "50")
+    assert run_cli(capsys, "simulate", *argv, "--out", str(out_path))[:2] == (0, "")
+    expected = tmp_path / "expected.csv"
+    config = SimConfig(alphas=(0.5, 2.0), ns=(5,), n_sim=50, rate="alpha")
+    cli.write_results_csv(str(expected), run_grid(config))
+    assert out_path.read_bytes() == expected.read_bytes()
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--rate", "x", "--out", str(out_path)])
+    assert err.value.code == 2
+    assert "argument --rate: expected a number or 'alpha', got 'x'" in capsys.readouterr().err
+
+
 # sha256 of the default `simulate --seed 42` CSV: any change to the stream
 # model or to the last bit of any estimate, fit or aggregate shows here
 DEFAULT_GRID_SHA256 = "c3fb04083b0f99c6c13fc1d1677254dc65d38cd583c6d36ce28d00f11d2ccd05"
@@ -1371,7 +1424,7 @@ def test_simulate_worker_that_ends_without_a_result_exits_1(tmp_path, capsys, mo
 
 @pytest.mark.parametrize("workers", ["3", "13"])
 def test_simulate_csv_at_more_workers_than_cores_or_runs_equals_serial(tmp_path, capsys, workers):
-    # SIM_FLAGS's grid has 4 (cell, block) tasks: 13 workers give 4 runs
+    # SIM_FLAGS's grid has 4 cells: 13 workers give 4 runs
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
     assert run_cli(capsys, "simulate", *SIM_FLAGS, "--out", str(serial))[0] == 0

@@ -40,7 +40,7 @@ from gammaineq import (
     theil_t_hat,
     theil_t_population,
 )
-from gammaineq import simulation
+from gammaineq import _fork, simulation
 from gammaineq.cli import _csv_field
 from gammaineq._fork import split
 from gammaineq.simulation import _run_block, _run_tasks
@@ -237,9 +237,10 @@ def test_run_cell_single_observation_cells():
         assert math.isnan(rows[key].mse)
 
 
-def test_run_grid_single_cell_matches_run_cell():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_grid_single_cell_matches_run_cell(workers):
     config = SimConfig(alphas=(1.5,), ns=(5,), n_sim=40, master_seed=99)
-    assert run_grid(config) == run_cell(1.5, 5, 40, 1.0, 99)
+    assert run_grid(config, workers=workers) == run_cell(1.5, 5, 40, 1.0, 99)
 
 
 def test_run_grid_fit_chunks_match_run_cell():
@@ -263,9 +264,9 @@ def test_run_grid_orders_axes_ascending():
 
 @pytest.mark.parametrize("workers", [2, 3, 13])
 def test_run_grid_parallel_matches_serial(workers):
-    # n = 40000 holds one replication per block: five blocks per cell, so
-    # the 12 tasks split into 3 runs at a boundary inside a cell, and 13
-    # workers exceed the task count
+    # n = 40000 holds one replication per block: five blocks per cell, and
+    # 3 workers split the 4 cells into 3 runs of whole cells, while 13
+    # workers exceed the cell count
     config = SimConfig(alphas=(0.5, 2.0), ns=(5, 40_000), n_sim=5, master_seed=7)
     assert run_grid(config, workers=workers) == run_grid(config, workers=1)
 
@@ -334,14 +335,52 @@ def test_every_run_is_fitted_once_in_the_process_that_takes_it(tmp_path, monkeyp
         assert runs == [(str(os.getpid()), "120")]
 
 
+def test_each_cell_is_run_and_aggregated_whole_in_one_process(tmp_path, monkeypatch):
+    # the n = 40000 cells have five blocks each, and a split of the grid's
+    # (cell, block) tasks into 3 runs would cut one of them; the grid
+    # splits whole cells
+    config = SimConfig(alphas=(0.5, 2.0), ns=(5, 40_000), n_sim=5, master_seed=7)
+    serial = run_grid(config)
+    log = tmp_path / "log"
+    run_tasks, aggregate = simulation._run_tasks, simulation._aggregate
+
+    def logged_run(tasks):
+        cells = {f"{task[0].shape}/{task[1]}" for task in tasks}
+        append_line(log, f"run {os.getpid()} {' '.join(sorted(cells))}")
+        return run_tasks(tasks)
+
+    def logged_aggregate(alpha, n, *args):
+        append_line(log, f"aggregate {os.getpid()} {alpha}/{n}")
+        return aggregate(alpha, n, *args)
+
+    monkeypatch.setattr(simulation, "_run_tasks", logged_run)
+    monkeypatch.setattr(simulation, "_aggregate", logged_aggregate)
+    assert run_grid(config, workers=3) == serial
+    calls = [line.split() for line in read_lines(log)]
+    # every cell's blocks reach exactly one _run_tasks call
+    runs = [(cell, pid) for kind, pid, *cells in calls if kind == "run" for cell in cells]
+    assert sorted(cell for cell, _ in runs) == ["0.5/40000", "0.5/5", "2.0/40000", "2.0/5"]
+    # all six aggregates of a cell run in the process that ran its blocks
+    aggregates = [(cell, pid) for kind, pid, *cells in calls if kind == "aggregate" for cell in cells]
+    assert sorted(aggregates) == sorted(runs * 6)
+    assert len({pid for _, pid in runs}) > 1
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_no_forked_grid_worker_calls_the_c_allocator(tmp_path, monkeypatch, workers):
-    # a forked worker only computes; this process trims its heap once per
-    # fan-out, whichever the worker count
+    # no process of the grid, this one or a forked worker, calls the C
+    # library's malloc functions: the grid neither sets nor trims the heap
     log = tmp_path / "log"
-    monkeypatch.setattr(simulation, "malloc_call", lambda *args: append_line(log, str(os.getpid())))
+
+    def library(name):
+        append_line(log, f"{os.getpid()} {name}")
+        raise OSError(name)
+
+    monkeypatch.setattr(ctypes, "CDLL", library)
     run_grid(SimConfig(alphas=(0.5, 2.0), ns=(10,), n_sim=50), workers=workers)
-    assert read_lines(log) == [str(os.getpid())]
+    # the one call this test makes itself shows that the stand-in logs
+    _fork.malloc_call("malloc_trim", 0)
+    assert read_lines(log) == [f"{os.getpid()} None"]
 
 
 def _libc_has(name):

@@ -52,7 +52,7 @@ from .special import _check_count, _check_positive
 CSV_HEADER = tuple(field.name for field in dataclasses.fields(SimSummary))
 
 # The freed heap glibc keeps at the top of its heap while `simulate` runs
-# its grid (`mallopt`'s M_TOP_PAD). Each (cell, block) task frees several
+# its grid (`mallopt`'s M_TOP_PAD). Each block of replications frees several
 # 512 KiB numpy temporaries there; without a pad glibc hands their pages
 # back to the kernel and the next block faults them in again. Setting the
 # pad also stops glibc from raising its mmap and trim thresholds as it goes,
@@ -97,12 +97,15 @@ def cmd_population(args):
 def cmd_expectation(args):
     params = GammaParams(_check_positive(args.alpha, "--alpha"))
     n = _check_count(args.n, "--n")
-    print(f"expected_theil_t = {_fmt(expected_theil_t(params, n))}")
-    print(f"bias_theil_t = {_fmt(bias_theil_t(params, n))}")
-    print(f"expected_theil_l = {_fmt(expected_theil_l(params, n))}")
-    print(f"bias_theil_l = {_fmt(bias_theil_l(params, n))}")
-    print(f"expected_atkinson = {_fmt(expected_atkinson(params, n))}")
-    print(f"bias_atkinson = {_fmt(bias_atkinson(params, n))}")
+    # one print of all six: a value that raises leaves stdout empty
+    print(
+        f"expected_theil_t = {_fmt(expected_theil_t(params, n))}\n"
+        f"bias_theil_t = {_fmt(bias_theil_t(params, n))}\n"
+        f"expected_theil_l = {_fmt(expected_theil_l(params, n))}\n"
+        f"bias_theil_l = {_fmt(bias_theil_l(params, n))}\n"
+        f"expected_atkinson = {_fmt(expected_atkinson(params, n))}\n"
+        f"bias_atkinson = {_fmt(bias_atkinson(params, n))}"
+    )
     return 0
 
 

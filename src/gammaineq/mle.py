@@ -13,7 +13,7 @@ shapes and the rows' sample sizes.
 estimate_all runs both halves on one row, the second only when asked to
 correct; fit_shape runs the row kernel and the fit alone. The Monte Carlo
 engine runs the row kernel on each block of replications and, in each
-worker's run of blocks, the second half in chunks of at most 2**16 rows. A
+process's run of cells, the second half in chunks of at most 2**16 rows. A
 failed fit leaves NaN; _fit_error names the reason for one sample.
 """
 

@@ -9,11 +9,11 @@ hashing (master_seed, alpha_index, n_index, b), and draws all its rows*n
 observations with one sample_gamma call; reshaped row-major to (rows, n),
 row r is replication b*R + r. Results are therefore a pure function of the
 config no matter how the cells are scheduled. Each process, the calling
-one included, takes one contiguous run of whole cells: it samples,
-estimates, fits and bias-corrects their rows, each row on its own, and
-reduces each cell in replication order with exact compensated summation.
-Only the summaries come back, and the calling process lists the runs in
-cell order.
+one included, takes one contiguous run of whole cells and walks it in one
+function, _summarize: it samples and estimates each block, fits and
+bias-corrects the run's rows, each row on its own, and reduces each cell in
+replication order with exact compensated summation. Only the summaries come
+back, and the calling process lists the runs in cell order.
 """
 
 import math
@@ -155,39 +155,9 @@ def derive_stream(master_seed, alpha_index, n_index, block):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _blocks(n, n_sim):
-    """(block index, rows) of every block of a cell, in replication order."""
-    size = max(1, _BLOCK_VARIATES // n)
-    return [(b, min(size, n_sim - start)) for b, start in enumerate(range(0, n_sim, size))]
-
-
-def _run_block(params, n, rows, master_seed, alpha_index, n_index, block):
-    """Theil T, Theil L and Atkinson estimates of every replication of one
-    block, as three arrays in replication order."""
-    stream = derive_stream(master_seed, alpha_index, n_index, block)
-    x = sample_gamma(params, rows * n, stream).observations.reshape(rows, n)
-    return _row_estimates(x)[:3]
-
-
-def _run_tasks(tasks):
-    """Per-replication values of a run of _run_block tasks, in task order,
-    as a (6, rows) array in ESTIMATOR_IDS order; the corrected rows hold NaN
-    where the shape fit failed (every row when n = 1). The fit runs in
-    chunks of at most _BLOCK_VARIATES rows, and no row depends on its chunk."""
-    # the blocks run before `values` is allocated: the other order costs 20% more page faults
-    columns = zip(*(_run_block(*task) for task in tasks))
-    n = np.repeat([task[1] for task in tasks], [task[2] for task in tasks])
-    values = np.empty((6, n.size))
-    for row, column in zip(values[::2], columns):
-        np.concatenate(column, out=row)
-    for start in range(0, n.size, _BLOCK_VARIATES):
-        c = slice(start, start + _BLOCK_VARIATES)
-        values[1::2, c] = _fit_and_correct(values[0, c], values[2, c], values[4, c], n[c])[1]
-    return values
-
-
-def _aggregate(alpha, n, estimator, true_value, values, n_sim):
-    # values: per-replication estimates in replication order, NaN where the fit failed
+def _aggregate(alpha, n, estimator, true_value, values):
+    # values: a cell's n_sim estimates in replication order, NaN where the fit failed
+    n_sim = values.size
     values = values[~np.isnan(values)]
     n_effective = values.size
     if n_effective:
@@ -211,20 +181,33 @@ def _aggregate(alpha, n, estimator, true_value, values, n_sim):
 
 def _summarize(cells, n_sim, master_seed):
     """The six summaries of every (alpha_index, n_index, params, n) cell of
-    one run, in cell order: the run's (cell, block) tasks go to _run_tasks
-    in one call, and each cell is aggregated here, in replication order."""
-    tasks = [
-        (params, n, rows, master_seed, ai, ni, b)
-        for ai, ni, params, n in cells
-        for b, rows in _blocks(n, n_sim)
-    ]
-    values = _run_tasks(tasks)
+    one run, in cell order. Each block of each cell is sampled and
+    estimated in turn, as the module docstring lays out; the run's rows are
+    then fitted and corrected in chunks of at most _BLOCK_VARIATES rows (no
+    row depends on its chunk; the corrected values are NaN where the fit
+    failed, every row when n = 1), and each cell is aggregated in
+    replication order."""
+    blocks = []
+    for ai, ni, params, n in cells:
+        size = max(1, _BLOCK_VARIATES // n)
+        for b, start in enumerate(range(0, n_sim, size)):
+            rows = min(size, n_sim - start)
+            x = sample_gamma(params, rows * n, derive_stream(master_seed, ai, ni, b)).observations
+            blocks.append(_row_estimates(x.reshape(rows, n))[:3])
+    # the blocks run before `values` is allocated: the other order costs 20% more page faults
+    values = np.empty((6, len(cells) * n_sim))
+    for row, column in zip(values[::2], zip(*blocks)):
+        np.concatenate(column, out=row)
+    ns = np.repeat([cell[3] for cell in cells], n_sim)
+    for start in range(0, ns.size, _BLOCK_VARIATES):
+        c = slice(start, start + _BLOCK_VARIATES)
+        values[1::2, c] = _fit_and_correct(values[0, c], values[2, c], values[4, c], ns[c])[1]
     summaries = []
     for i, (_, _, params, n) in enumerate(cells):
         trues = population_values(params)
         for column, key in zip(values[:, i * n_sim : (i + 1) * n_sim], ESTIMATOR_IDS):
             true_value = getattr(trues, key.removesuffix("_corr"))
-            summaries.append(_aggregate(params.shape, n, key, true_value, column, n_sim))
+            summaries.append(_aggregate(params.shape, n, key, true_value, column))
     return summaries
 
 

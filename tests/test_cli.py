@@ -26,7 +26,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import append_line, numpy_build_note, pinned_gamma_sample, read_lines, wait_for
+from conftest import (
+    DEFAULT_GRID_SHA256,
+    PAIR_REPORT,
+    X86_V4,
+    append_line,
+    numpy_build_note,
+    pinned,
+    pinned_gamma_sample,
+    read_lines,
+    wait_for,
+)
 from gammaineq import DomainError, Sample, SimConfig, _fork, _read, cli, run_grid, simulation
 from gammaineq.cli import CSV_HEADER, main
 
@@ -74,6 +84,13 @@ def test_population_at_tiny_shapes(capsys):
     # ln(alpha) - psi(alpha) ~ 1/alpha exceeds the largest double
     assert run_cli(capsys, "population", "--alpha", "1e-309") == (
         1, "", "gammaineq: ln x - psi(x) overflows float64 at shape = 1e-309\n"
+    )
+
+
+def test_expectation_that_fails_prints_nothing_on_stdout(capsys):
+    # the Theil T values are finite; the Theil L ones overflow after them
+    assert run_cli(capsys, "expectation", "--alpha", "1e-320", "--n", "2") == (
+        1, "", "gammaineq: the mean Theil L estimate for n = 2 overflows float64 at shape = 1e-320\n"
     )
 
 
@@ -1319,18 +1336,47 @@ def test_simulate_rate_alpha_writes_the_library_grid(tmp_path, capsys):
     assert "argument --rate: expected a number or 'alpha', got 'x'" in capsys.readouterr().err
 
 
-# sha256 of the default `simulate --seed 42` CSV: any change to the stream
-# model or to the last bit of any estimate, fit or aggregate shows here
-DEFAULT_GRID_SHA256 = "c3fb04083b0f99c6c13fc1d1677254dc65d38cd583c6d36ce28d00f11d2ccd05"
-
-
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_simulate_default_grid_sha256_pinned(tmp_path, capsys, workers):
     out_path = tmp_path / "grid.csv"
     code, _, _ = run_cli(capsys, "simulate", "--seed", "42", "--workers", workers, "--out", str(out_path))
     assert code == 0
     digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
-    assert digest == DEFAULT_GRID_SHA256, numpy_build_note()
+    assert digest == pinned(DEFAULT_GRID_SHA256), numpy_build_note()
+
+
+# numpy's CPU features that hold its float64 log and exp below AVX-512, and
+# those that hold them to the baseline as well
+WITHOUT_AVX512 = "AVX512_SPR AVX512_ICL AVX512_CNL AVX512_CLX AVX512_SKX AVX512FP16 AVX512BF16 X86_V4"
+WITHOUT_AVX2 = f"{WITHOUT_AVX512} AVX2 FMA3 X86_V3"
+
+# prints the SIMD targets, the default CSV's sha256 and the {1, 3} report
+PINNED_OUTPUTS = """
+import hashlib, sys
+from conftest import simd_targets
+from gammaineq import Sample, estimate_all
+from gammaineq.cli import main
+assert main(["simulate", "--seed", "42", "--out", sys.argv[1]]) == 0
+with open(sys.argv[1], "rb") as handle:
+    digest = hashlib.sha256(handle.read()).hexdigest()
+print(simd_targets())
+print(digest)
+print(repr(estimate_all(Sample([1.0, 3.0]), apply_correction=True)))
+"""
+
+
+@pytest.mark.parametrize("disabled", [WITHOUT_AVX512, WITHOUT_AVX2], ids=["without-avx512", "without-avx2"])
+def test_pinned_outputs_hold_in_the_simd_classes_below_this_one(tmp_path, monkeypatch, disabled):
+    # numpy in a child process, held to a lower SIMD class on this machine:
+    # the default CSV and the {1, 3} report equal the pins of the class the
+    # child reports, so every recorded class is checked on one host
+    monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", disabled)
+    result = _run_python("-c", PINNED_OUTPUTS, str(tmp_path / "grid.csv"), cwd=pathlib.Path(__file__).parent)
+    assert result.returncode == 0, result.stderr
+    targets, digest, report = result.stdout.splitlines()
+    assert targets != X86_V4
+    assert digest == pinned(DEFAULT_GRID_SHA256, targets), numpy_build_note(targets)
+    assert report == repr(pinned(PAIR_REPORT, targets)), numpy_build_note(targets)
 
 
 def test_simulate_rejects_bad_grid(tmp_path, capsys):
@@ -1369,7 +1415,7 @@ def test_simulate_rate_that_pushes_draws_below_the_normal_range_exits_1(tmp_path
 
 def test_simulate_worker_error_reaches_the_cli_as_the_serial_one(tmp_path, capsys):
     # every cell overflows, each naming its own largest observation; the two
-    # pool workers each fail, and the first failure in task order wins, as
+    # pool workers each fail, and the first failure in cell order wins, as
     # it does serially
     errors = []
     for workers in ("1", "2"):
@@ -1402,17 +1448,17 @@ def test_simulate_worker_that_ends_without_a_result_exits_1(tmp_path, capsys, mo
     # on stderr, exit 1, no CSV, and no child left behind
     parent = os.getpid()
     log = tmp_path / "log"
-    run_tasks = simulation._run_tasks
+    summarize = simulation._summarize
 
-    def dying(tasks):
+    def dying(cells, n_sim, master_seed):
         if os.getpid() != parent:
             append_line(log, "child")
             os._exit(3)
         # hold this process on its run until the child has taken the other
         wait_for(lambda: read_lines(log))
-        return run_tasks(tasks)
+        return summarize(cells, n_sim, master_seed)
 
-    monkeypatch.setattr(simulation, "_run_tasks", dying)
+    monkeypatch.setattr(simulation, "_summarize", dying)
     out = tmp_path / "x.csv"
     code, stdout, err = run_cli(capsys, "simulate", *SIM_FLAGS, "--workers", "2", "--out", str(out))
     assert (code, stdout) == (1, "")

@@ -43,7 +43,7 @@ from gammaineq import (
 from gammaineq import _fork, simulation
 from gammaineq.cli import _csv_field
 from gammaineq._fork import split
-from gammaineq.simulation import _run_block, _run_tasks
+from gammaineq.mle import _row_estimates
 
 # run_cell(1.5, 10, 200, 1.0, 42) means in ESTIMATOR_IDS order
 PINNED_MEANS_15_10_200_SEED42 = (
@@ -166,21 +166,25 @@ def manual_cell(alpha, n, n_sim, seed, alpha_index=0, n_index=0):
     return sizes, values
 
 
-def check_cell_against_manual(alpha, n, n_sim, seed, alpha_index, n_index):
+def check_cell_against_manual(monkeypatch, alpha, n, n_sim, seed, alpha_index, n_index):
     sizes, manual = manual_cell(alpha, n, n_sim, seed, alpha_index, n_index)
-    params = GammaParams(alpha)
-    engine_values = _run_tasks(
-        [(params, n, rows, seed, alpha_index, n_index, block) for block, rows in enumerate(sizes)]
-    )
+    aggregate, engine_values = simulation._aggregate, {}
+
+    def recorded_aggregate(alpha, n, estimator, true_value, values):
+        engine_values[estimator] = values.tolist()
+        return aggregate(alpha, n, estimator, true_value, values)
+
+    monkeypatch.setattr(simulation, "_aggregate", recorded_aggregate)
     rows = {
         row.estimator: row
         for row in run_cell(alpha, n, n_sim, 1.0, seed, alpha_index=alpha_index, n_index=n_index)
     }
-    for engine, key in zip(engine_values, ESTIMATOR_IDS):
+    assert list(engine_values) == list(ESTIMATOR_IDS)
+    for key in ESTIMATOR_IDS:
         values = manual[key]
         # the engine and the scalar functions share one estimate -> fit ->
         # correct path, so every value and aggregate agrees to the bit
-        assert engine.tolist() == values, key
+        assert engine_values[key] == values, key
         row = rows[key]
         assert row.mean_estimate == math.fsum(values) / n_sim
         assert row.mse == math.fsum((v - row.true_value) ** 2 for v in values) / n_sim
@@ -189,13 +193,13 @@ def check_cell_against_manual(alpha, n, n_sim, seed, alpha_index, n_index):
     return sizes
 
 
-def test_run_cell_matches_manual_recompute():
-    assert check_cell_against_manual(2.0, 4, 3, 17, 0, 0) == [3]
+def test_run_cell_matches_manual_recompute(monkeypatch):
+    assert check_cell_against_manual(monkeypatch, 2.0, 4, 3, 17, 0, 0) == [3]
 
 
-def test_run_cell_multi_block_matches_per_block_recompute():
+def test_run_cell_multi_block_matches_per_block_recompute(monkeypatch):
     # 2**16 // 20000 = 3 replications per block: blocks of 3, 3 and 1
-    assert check_cell_against_manual(0.5, 20_000, 7, 23, 1, 2) == [3, 3, 1]
+    assert check_cell_against_manual(monkeypatch, 0.5, 20_000, 7, 23, 1, 2) == [3, 3, 1]
 
 
 def test_run_cell_pinned_means():
@@ -213,10 +217,17 @@ def test_default_block_peaks_within_five_times_its_observations():
     # observations (6.1x when every step allocated a new temporary)
     n = 10
     rows = 2**16 // n
-    _run_block(GammaParams(1.5), n, rows, 42, 2, 0, 0)
+
+    def block(b):
+        # what the grid runs on each block of cell (2, 0)
+        stream = derive_stream(42, 2, 0, b)
+        x = sample_gamma(GammaParams(1.5), rows * n, stream).observations.reshape(rows, n)
+        return _row_estimates(x)[:3]
+
+    block(0)
     tracemalloc.start()
     try:
-        _run_block(GammaParams(1.5), n, rows, 42, 2, 0, 1)
+        block(1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -272,8 +283,8 @@ def test_run_grid_parallel_matches_serial(workers):
 
 
 def variates(task):
-    # the size the grid splits its (cell, block) tasks by: rows * n
-    return task[2] * task[1]
+    # a task's size: its rows * n variates
+    return task[0] * task[1]
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3, 5, 12, 13, 10**9])
@@ -287,7 +298,7 @@ def variates(task):
     ],
 )
 def test_split_gives_contiguous_nonempty_runs_covering_every_task(sizes, parts):
-    tasks = [(GammaParams(1.5), n, rows, 0, 0, 0, b) for b, (n, rows) in enumerate(sizes)]
+    tasks = [(n, rows, b) for b, (n, rows) in enumerate(sizes)]
     runs = split(tasks, parts, variates)
     assert 1 <= len(runs) <= min(parts, len(tasks))
     assert all(runs)
@@ -297,67 +308,73 @@ def test_split_gives_contiguous_nonempty_runs_covering_every_task(sizes, parts):
 
 @pytest.mark.parametrize("parts, lengths", [(2, [18] * 2), (3, [12] * 3), (36, [1] * 36), (10**9, [1] * 36)])
 def test_split_balances_variates(parts, lengths):
-    tasks = [(GammaParams(1.5), 10, 100, 0, 0, 0, b) for b in range(36)]
+    tasks = [(10, 100, b) for b in range(36)]
     assert [len(run) for run in split(tasks, parts, variates)] == lengths
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_every_run_is_fitted_once_in_the_process_that_takes_it(tmp_path, monkeypatch, workers):
-    # the grid's 4 (cell, block) tasks of 30 rows each are cut into
-    # `workers` runs; whichever process takes a run fits its rows in one
-    # call, and no row is fitted twice. The serial run is fitted here.
+    # the grid's 4 cells of one 30-row block each are cut into `workers`
+    # runs; whichever process takes a run draws its blocks and fits its rows
+    # in one call, and no row is fitted twice. The serial run is fitted here.
     config = SimConfig(alphas=(0.5, 2.0), ns=(5, 20), n_sim=30, master_seed=3)
     serial = run_grid(config)
     log = tmp_path / "log"
-    run_tasks, fit_and_correct = simulation._run_tasks, simulation._fit_and_correct
+    summarize, fit_and_correct = simulation._summarize, simulation._fit_and_correct
+    stream = simulation.derive_stream
 
-    def logged_run(tasks):
-        blocks = " ".join("{}/{}/{}".format(*task[4:]) for task in tasks)
-        append_line(log, f"run {os.getpid()} {sum(task[2] for task in tasks)} {blocks}")
-        return run_tasks(tasks)
+    def logged_summarize(cells, n_sim, master_seed):
+        append_line(log, f"run {os.getpid()} {len(cells) * n_sim}")
+        return summarize(cells, n_sim, master_seed)
+
+    def logged_stream(*args):
+        append_line(log, "block {} {}/{}/{}".format(os.getpid(), *args[1:]))
+        return stream(*args)
 
     def logged_fit(*args):
         append_line(log, f"fit {os.getpid()} {args[3].size}")
         return fit_and_correct(*args)
 
-    monkeypatch.setattr(simulation, "_run_tasks", logged_run)
+    monkeypatch.setattr(simulation, "_summarize", logged_summarize)
+    monkeypatch.setattr(simulation, "derive_stream", logged_stream)
     monkeypatch.setattr(simulation, "_fit_and_correct", logged_fit)
     assert run_grid(config, workers=workers) == serial
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     calls = [line.split() for line in read_lines(log)]
-    runs = [(pid, rows) for kind, pid, rows, *_ in calls if kind == "run"]
-    blocks = [block for kind, _, _, *blocks in calls if kind == "run" for block in blocks]
+    runs = [(pid, rows) for kind, pid, rows in calls if kind == "run"]
+    blocks = [(block, pid) for kind, pid, block in calls if kind == "block"]
     assert len(runs) == workers
-    assert sorted(blocks) == ["0/0/0", "0/1/0", "1/0/0", "1/1/0"]
-    assert sorted((pid, rows) for kind, pid, rows, *_ in calls if kind == "fit") == sorted(runs)
+    assert sorted(block for block, _ in blocks) == ["0/0/0", "0/1/0", "1/0/0", "1/1/0"]
+    # each block is drawn in a process that takes a run
+    assert {pid for _, pid in blocks} == {pid for pid, _ in runs}
+    assert sorted((pid, rows) for kind, pid, rows in calls if kind == "fit") == sorted(runs)
     if workers == 1:
         assert runs == [(str(os.getpid()), "120")]
 
 
 def test_each_cell_is_run_and_aggregated_whole_in_one_process(tmp_path, monkeypatch):
     # the n = 40000 cells have five blocks each, and a split of the grid's
-    # (cell, block) tasks into 3 runs would cut one of them; the grid
-    # splits whole cells
+    # blocks into 3 runs would cut one of them; the grid splits whole cells
     config = SimConfig(alphas=(0.5, 2.0), ns=(5, 40_000), n_sim=5, master_seed=7)
     serial = run_grid(config)
     log = tmp_path / "log"
-    run_tasks, aggregate = simulation._run_tasks, simulation._aggregate
+    summarize, aggregate = simulation._summarize, simulation._aggregate
 
-    def logged_run(tasks):
-        cells = {f"{task[0].shape}/{task[1]}" for task in tasks}
-        append_line(log, f"run {os.getpid()} {' '.join(sorted(cells))}")
-        return run_tasks(tasks)
+    def logged_run(cells, n_sim, master_seed):
+        names = " ".join(f"{params.shape}/{n}" for _, _, params, n in cells)
+        append_line(log, f"run {os.getpid()} {names}")
+        return summarize(cells, n_sim, master_seed)
 
     def logged_aggregate(alpha, n, *args):
         append_line(log, f"aggregate {os.getpid()} {alpha}/{n}")
         return aggregate(alpha, n, *args)
 
-    monkeypatch.setattr(simulation, "_run_tasks", logged_run)
+    monkeypatch.setattr(simulation, "_summarize", logged_run)
     monkeypatch.setattr(simulation, "_aggregate", logged_aggregate)
     assert run_grid(config, workers=3) == serial
     calls = [line.split() for line in read_lines(log)]
-    # every cell's blocks reach exactly one _run_tasks call
+    # every cell reaches exactly one _summarize call
     runs = [(cell, pid) for kind, pid, *cells in calls if kind == "run" for cell in cells]
     assert sorted(cell for cell, _ in runs) == ["0.5/40000", "0.5/5", "2.0/40000", "2.0/5"]
     # all six aggregates of a cell run in the process that ran its blocks

@@ -163,13 +163,16 @@ def cmd_simulate(args):
         rate=args.rate,
         master_seed=args.seed,
     )
-    # an --out that names no file or a directory, or whose directory cannot
-    # be written, fails now, not after the grid
+    # an --out that names no file, a directory or another file that is not
+    # regular, or whose directory cannot be written, fails now, not after
+    # the grid; the CSV would replace a FIFO or a device, not be written to it
     if os.path.basename(args.out) in ("", os.curdir, os.pardir):
         raise DomainError(f"--out must name a file, got {args.out!r}")
     if os.path.isdir(args.out):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(args.out))).close()
+    if os.path.exists(args.out) and not os.path.isfile(args.out):
+        raise DomainError(f"--out must name a regular file, got {args.out!r}")
     # the grid does not trim the kept heap: each of its processes hands it
     # back to the system as it exits
     malloc_call("mallopt", M_TOP_PAD, _SIMULATE_TOP_PAD)

@@ -12,8 +12,8 @@ class DegenerateSampleError(ValueError):
 
 class NoConvergenceError(RuntimeError):
     """Raised when the Newton shape solver does not converge. No finite
-    positive sample reaches it: its log-moment gap is below 1448, and Newton
-    converges on every gap up to about 1e5."""
+    positive sample reaches it: its log-moment gap is below 1454.3, and
+    Newton converges on every gap up to about 1e5."""
 
 
 class CorrectionUnavailableError(ValueError):

@@ -57,33 +57,36 @@ def _row_estimates(x):
     the 2-D array x, one sample per row, as four arrays.
 
     Each row is sorted and accumulated in that fixed order, so a row's
-    values do not depend on the order of its observations. Raises
-    DomainError when a row with spread has a sum of x or of x*ln(x) beyond
-    the float64 range.
+    values do not depend on the order of its observations. The indices are
+    scale-invariant: a row whose largest value lies outside a window of
+    exponents is summed at 2**-e, an exact rescale that brings it inside,
+    where the sums of x and of x*ln(x) are finite and the mean is a normal
+    double; ln(2**e) is added back to each log of a sum, and the mean is
+    scaled back. e is 0 for every other row. So any finite positive
+    values, subnormal to the largest double, give finite estimates.
     """
     x = np.sort(x, axis=1)
     n = x.shape[1]
     logs = np.log(x)
     spread = x[:, 0] != x[:, -1]
-    # an overflowed sum is checked below; for equal rows it is harmless
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = x.sum(axis=1)
-        log_total = logs.sum(axis=1)
-        # the logs are summed before x*ln(x) overwrites them
-        weighted = np.multiply(x, logs, out=logs).sum(axis=1)
-        overflow = spread & ~(np.isfinite(total) & np.isfinite(weighted))
-        if overflow.any():
-            raise DomainError(
-                "the sum of x or of x*ln(x) overflows float64 "
-                f"(largest observation {x[overflow, -1].max():.6g})"
-            )
-        mean = total / n
-        tt = weighted / total - np.log(total) + math.log(n)
-        tl = np.log(mean) - log_total / n
+    # |ln x| < 2**10 and n < 2**n.bit_length(): inside the window, the sums
+    # of x and of x*ln(x) stay below 2**1024 and the mean above 2**-970
+    top = np.frexp(x[:, -1])[1]
+    e = top - np.clip(top, n.bit_length() - 969, 1014 - n.bit_length())
+    big = np.flatnonzero(e)
+    # the logs keep the unscaled values
+    x[big] = np.ldexp(x[big], -e[big, np.newaxis])
+    shift = e * math.log(2.0)
+    total = x.sum(axis=1)
+    log_total = logs.sum(axis=1)
+    # the logs are summed before x*ln(x) overwrites them
+    weighted = np.multiply(x, logs, out=logs).sum(axis=1)
+    tt = weighted / total - (np.log(total) + shift) + math.log(n)
+    tl = (np.log(total / n) + shift) - log_total / n
     # exact zeros for equal rows; elsewhere clamp rounding below zero
     tt = np.where(spread, np.maximum(tt, 0.0), 0.0)
     tl = np.where(spread, np.maximum(tl, 0.0), 0.0)
-    return tt, tl, -np.expm1(-tl), mean
+    return tt, tl, -np.expm1(-tl), np.ldexp(total / n, e)
 
 
 def log_moment_gap(sample):
@@ -107,7 +110,8 @@ def _fit_shapes(s):
     s < 1e-12 is degenerate and never iterated; that includes every sample
     of one observation, whose gap the row kernel sets to exactly 0. Any
     other fails only if Newton leaves the domain or runs out of iterations,
-    which no gap of a finite positive sample (s < 1448) reaches.
+    which no gap of a finite positive sample (s < ln(1.8e308 / 4.9e-324),
+    about 1454.2) reaches.
     """
     active = np.flatnonzero(s >= _DEGENERATE_S)
     alpha = np.full(s.shape, np.nan)

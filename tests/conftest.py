@@ -1,5 +1,6 @@
-"""Shared fixtures: test grids, summary-statistics helpers, the sample
-whose outputs are pinned and the pins kept for each SIMD class."""
+"""Shared fixtures: test grids, summary-statistics helpers, an mpmath
+oracle of the sample Theil indices, the sample whose outputs are pinned and
+the pins kept for each SIMD class."""
 
 import dataclasses
 import math
@@ -7,6 +8,7 @@ import os
 import time
 
 import hypothesis
+import mpmath
 import numpy as np
 import pytest
 
@@ -36,6 +38,16 @@ def oracle_dps(alpha, n=1):
     ln Gamma(alpha) and the ln(alpha) it is compared with about
     2 log10 alpha, and a factor n carries log10 n more."""
     return 40 + 2 * math.ceil(abs(math.log10(alpha))) + 2 * math.ceil(math.log10(n))
+
+
+def mpmath_theil(xs):
+    """Theil T and Theil L of the doubles xs, in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        xs = [mpmath.mpf(x) for x in xs]
+        mean = mpmath.fsum(xs) / len(xs)
+        theil_t = mpmath.fsum(x / mean * mpmath.log(x / mean) for x in xs) / len(xs)
+        theil_l = mpmath.fsum(mpmath.log(mean / x) for x in xs) / len(xs)
+        return float(theil_t), float(theil_l)
 
 
 def simd_targets():

@@ -31,6 +31,7 @@ from conftest import (
     PAIR_REPORT,
     X86_V4,
     append_line,
+    mpmath_theil,
     numpy_build_note,
     pinned,
     pinned_gamma_sample,
@@ -299,13 +300,18 @@ def test_estimate_correct_notes_a_near_degenerate_sample_on_stderr(tmp_path, cap
 
 
 @pytest.mark.parametrize("flags", [(), ("--correct",)])
-def test_estimate_overflowing_sums_exit_1(tmp_path, capsys, flags):
+def test_estimate_data_whose_sums_pass_float64_gets_estimates(tmp_path, capsys, flags):
+    # the row kernel sums these at an exact power of two, where nothing
+    # overflows
     data = tmp_path / "obs.txt"
     data.write_text("1e308\n5e307\n1e308\n")
     code, out, err = run_cli(capsys, "estimate", str(data), *flags)
-    assert code == 1
-    assert out == ""
-    assert "overflows float64" in err and err.count("\n") == 1
+    assert (code, err) == (0, "")
+    report = parse_report(out)
+    theil_t, theil_l = mpmath_theil([1e308, 5e307, 1e308])
+    assert report["theil_t_hat"] == pytest.approx(theil_t, rel=1e-11, abs=0.0)
+    assert report["theil_l_hat"] == pytest.approx(theil_l, rel=1e-11, abs=0.0)
+    assert ("alpha_hat" in report) == bool(flags)
     # equal observations have no spread to measure: their sums may overflow
     data.write_text("1e308\n1e308\n")
     code, out, _ = run_cli(capsys, "estimate", str(data))
@@ -1001,6 +1007,24 @@ def test_a_bad_byte_is_named_before_a_rejected_row_in_another_range(tmp_path, mo
         assert _read_in_ranges(monkeypatch, str(path), cuts) == expected, cuts
 
 
+def test_a_quoted_field_over_the_csv_field_limit_across_a_whole_range_is_read_in_one_pass(
+    tmp_path, monkeypatch
+):
+    # a range wholly inside the quoted field fails, so the cut ranges fail,
+    # and the reader parses the whole file again with numpy, which has no
+    # field limit; the csv module's scan would reject the field
+    lines = 100_000
+    head = b'id,note,income\n1,"'
+    payload = head + b"x\n" * lines + b'",2\n3,,4\n'
+    assert 2 * lines > csv.field_size_limit()
+    path = tmp_path / "obs.csv"
+    path.write_bytes(payload)
+    expected = np.array([2.0, 4.0]).tobytes()
+    assert _read_outcome(_read._read_observations, str(path)) == expected
+    inside = [len(head) + 2 * 10, len(head) + 2 * (lines - 10)]
+    assert _read_in_ranges(monkeypatch, str(path), inside) == expected
+
+
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
 @pytest.mark.parametrize(
     "header, column", [(b"", None), (b"id,income\r\n", 1)], ids=["lines", "csv"]
@@ -1389,15 +1413,21 @@ def test_simulate_rejects_bad_grid(tmp_path, capsys):
     assert run_cli(capsys, "simulate", "--seed", "-1", "--out", out_path)[0] == 1
 
 
-def test_simulate_overflowing_sums_exit_1(tmp_path, capsys):
-    out_path = tmp_path / "x.csv"
-    code, _, err = run_cli(
-        capsys, "simulate", "--alphas", "2", "--ns", "200", "--nsim", "5",
-        "--rate", "1e-306", "--out", str(out_path),
-    )
-    assert code == 1
-    assert "overflows float64" in err and err.count("\n") == 1
-    assert not out_path.exists()
+def test_simulate_at_a_rate_whose_sums_pass_float64_matches_rate_1(tmp_path, capsys):
+    # the draws at rate 1e-306 sum past the largest double; the indices
+    # depend on the shape alone, so the grid gives what it gives at rate 1
+    means = []
+    for rate in ("1e-306", "1"):
+        out_path = tmp_path / f"rate-{rate}.csv"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--alphas", "2", "--ns", "200", "--nsim", "5",
+            "--rate", rate, "--out", str(out_path),
+        )
+        assert code == 0
+        with open(out_path, newline="") as handle:
+            means.append([float(row["mean_estimate"]) for row in csv.DictReader(handle)])
+    assert len(means[0]) == 6
+    assert means[0] == pytest.approx(means[1], rel=1e-11, abs=0.0)
 
 
 def test_simulate_rate_that_pushes_draws_below_the_normal_range_exits_1(tmp_path, capsys):
@@ -1414,19 +1444,20 @@ def test_simulate_rate_that_pushes_draws_below_the_normal_range_exits_1(tmp_path
 
 
 def test_simulate_worker_error_reaches_the_cli_as_the_serial_one(tmp_path, capsys):
-    # every cell overflows, each naming its own largest observation; the two
-    # pool workers each fail, and the first failure in cell order wins, as
-    # it does serially
+    # every cell draws below the normal range, each naming its own shape;
+    # the two workers each fail, and the first failure in cell order wins,
+    # as it does serially
     errors = []
     for workers in ("1", "2"):
         code, out, err = run_cli(
             capsys, "simulate", "--alphas", "1.5,2", "--ns", "100,200", "--nsim", "5",
-            "--rate", "1e-306", "--workers", workers, "--out", str(tmp_path / "x.csv"),
+            "--rate", "1e307", "--workers", workers, "--out", str(tmp_path / "x.csv"),
         )
         assert (code, out) == (1, "")
-        assert "overflows float64" in err and err.count("\n") == 1
         errors.append(err)
-    assert errors[0] == errors[1]
+    assert errors == [
+        "gammaineq: a gamma draw falls below the normal float64 range at shape = 1.5, rate = 1e+307\n"
+    ] * 2
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1509,6 +1540,20 @@ def test_simulate_unwritable_path_exits_1(tmp_path, capsys, monkeypatch):
         assert err == f"gammaineq: --out must name a file, got {out!r}\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["work", "x.csv"]
     assert not any(work.iterdir())
+
+
+def test_simulate_out_that_names_a_fifo_exits_1(tmp_path, capsys):
+    # os.replace would put the CSV in the FIFO's place, and a reader waiting
+    # on the FIFO would get nothing
+    fifo = tmp_path / "f"
+    os.mkfifo(fifo)
+    code, out, err = run_cli(
+        capsys, "simulate", "--alphas", "1.5", "--ns", "10", "--nsim", "5", "--out", str(fifo)
+    )
+    assert (code, out) == (1, "")
+    assert err == f"gammaineq: --out must name a regular file, got {str(fifo)!r}\n"
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [path.name for path in tmp_path.iterdir()] == ["f"]
 
 
 def test_module_entry_point():

@@ -15,15 +15,15 @@ from hypothesis.extra import numpy as hnp
 from scipy import optimize
 from scipy import special as sps
 
-from conftest import numpy_build_note, pinned_gamma_sample
+from conftest import mpmath_theil, numpy_build_note, pinned_gamma_sample
 from gammaineq import (
     DegenerateSampleError,
-    DomainError,
     GammaParams,
     MleResult,
     NoConvergenceError,
     Sample,
     derive_stream,
+    estimate_all,
     fit_shape,
     log_moment_gap,
     sample_gamma,
@@ -137,14 +137,14 @@ def test_fit_converges_fully_against_brentq():
 
 
 def test_newton_fits_every_reachable_gap():
-    # A sample's gap is at most ln(max/min): a sample that passes the row
-    # kernel's overflow check has max < 2.6e305 and min >= 5e-324, so s < 1448.
+    # A sample's gap is at most ln(max/min): a finite positive sample has
+    # max <= 1.8e308 and min >= 4.9e-324, so s < 1454.3.
     gaps = np.logspace(-12.0, math.log10(2000.0), 100_000)
     alpha, residual, iterations = _fit_shapes(gaps)
     assert np.isfinite(alpha).all() and (alpha > 0.0).all()
     assert residual.max() <= 1e-10
     assert iterations.max() <= _MAX_NEWTON
-    extreme = Sample([5e-324] * 1000 + [2.5e305])
+    extreme = Sample([5e-324] * 1000 + [1.7976931348623157e308])
     assert log_moment_gap(extreme) > 1439.0
     assert fit_shape(extreme).residual <= 1e-10
 
@@ -263,36 +263,30 @@ def test_fit_and_correct_is_the_same_in_any_batch(seed, rows, cuts):
         assert ("two observations" in str(exc)) == (n[i] < 2)
 
 
-# the row kernel as it was when every step allocated its own temporary; the
-# live kernel, which forms x*ln(x) in the buffer of the logs, must give the
-# same bits and leave its input alone
+# the row kernel in plain expressions, each step allocating its own
+# temporary and every row rescaled by 2**-e, e = 0 included; the live
+# kernel, which forms x*ln(x) in the buffer of the logs and rescales only
+# the rows with e != 0, must give the same bits and leave its input alone
 def _reference_row_estimates(x):
     x = np.sort(x, axis=1)
     n = x.shape[1]
     logs = np.log(x)
     spread = x[:, 0] != x[:, -1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = x.sum(axis=1)
-        weighted = (x * logs).sum(axis=1)
-        overflow = spread & ~(np.isfinite(total) & np.isfinite(weighted))
-        if overflow.any():
-            raise DomainError(
-                "the sum of x or of x*ln(x) overflows float64 "
-                f"(largest observation {x[overflow, -1].max():.6g})"
-            )
-        mean = total / n
-        tt = weighted / total - np.log(total) + math.log(n)
-        tl = np.log(mean) - logs.sum(axis=1) / n
+    top = np.frexp(x[:, -1])[1]
+    e = top - np.clip(top, n.bit_length() - 969, 1014 - n.bit_length())
+    scaled = np.ldexp(x, -e[:, np.newaxis])
+    shift = e * math.log(2.0)
+    total = scaled.sum(axis=1)
+    weighted = (scaled * logs).sum(axis=1)
+    tt = weighted / total - (np.log(total) + shift) + math.log(n)
+    tl = (np.log(total / n) + shift) - logs.sum(axis=1) / n
     tt = np.where(spread, np.maximum(tt, 0.0), 0.0)
     tl = np.where(spread, np.maximum(tl, 0.0), 0.0)
-    return tt, tl, -np.expm1(-tl), mean
+    return tt, tl, -np.expm1(-tl), np.ldexp(total / n, e)
 
 
-def _row_outcome(kernel, x):
-    try:
-        return [column.view(np.int64).tolist() for column in kernel(x)]
-    except DomainError as exc:
-        return str(exc)
+def _row_bits(kernel, x):
+    return [column.view(np.int64).tolist() for column in kernel(x)]
 
 
 @given(
@@ -300,7 +294,7 @@ def _row_outcome(kernel, x):
         np.float64,
         st.tuples(st.integers(1, 4), st.integers(1, 300)),
         # ordinary incomes, and anything from the smallest subnormal to the
-        # largest double, where the sums overflow
+        # largest double, where the rows are rescaled
         elements=st.one_of(
             st.floats(1e-3, 1e3),
             st.floats(5e-324, sys.float_info.max, allow_subnormal=True),
@@ -310,5 +304,31 @@ def _row_outcome(kernel, x):
 def test_row_kernel_bits_match_reference(x):
     before = x.copy()
     x.flags.writeable = False
-    assert _row_outcome(_row_estimates, x) == _row_outcome(_reference_row_estimates, before)
+    assert _row_bits(_row_estimates, x) == _row_bits(_reference_row_estimates, before)
     assert np.array_equal(x, before)
+
+
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 4), st.integers(1, 300)),
+        elements=st.floats(5e-324, sys.float_info.max, allow_subnormal=True),
+    )
+)
+def test_row_kernel_gives_finite_estimates_over_the_whole_float_range(x):
+    # a row near either end of the range is summed at an exact power of
+    # two, where no sum overflows and the mean is a normal double
+    tt, tl, at, mean = _row_estimates(x)
+    assert np.isfinite(np.concatenate([tt, tl, at, mean])).all()
+    assert (mean > 0.0).all()
+
+
+@pytest.mark.parametrize(
+    "xs", [[1e308, 5e307, 1e308], [5e-324, 1e-323, 2e-323]], ids=["near-max", "subnormal"]
+)
+def test_estimates_at_either_end_of_the_float_range_match_mpmath(xs):
+    report = estimate_all(Sample(xs), apply_correction=True)
+    theil_t, theil_l = mpmath_theil(xs)
+    assert report.theil_t_hat == pytest.approx(theil_t, rel=1e-11, abs=0.0)
+    assert report.theil_l_hat == pytest.approx(theil_l, rel=1e-11, abs=0.0)
+    assert math.isfinite(report.alpha_hat) and report.alpha_hat > 0.0
